@@ -9,30 +9,16 @@
 #include <thread>
 #include <utility>
 
+#include "sop/net/front.h"
 #include "sop/obs/metrics.h"
 #include "sop/obs/trace.h"
 #include "sop/query/workload.h"
+#include "sop/stream/record_policy.h"
 
 namespace sop {
 namespace cluster {
 
 namespace {
-
-// One front-side client connection: a reader thread, a writer thread and a
-// bounded send queue between the route loop and the socket. Enqueueing
-// into a full queue blocks (lossless backpressure); a closing connection
-// drops frames instead of blocking shutdown.
-struct Conn {
-  net::Socket sock;
-  std::thread reader;
-  std::thread writer;
-  std::mutex mu;
-  std::condition_variable cv_send;  // writer waits for frames
-  std::condition_variable cv_room;  // enqueuers wait for capacity
-  std::deque<std::string> sendq;    // guarded by mu
-  bool closing = false;             // guarded by mu
-  std::vector<int64_t> sub_ids;     // guarded by mu; this conn's query ids
-};
 
 // One stream operation. Everything that changes what workers compute —
 // batches, subscriptions, retirements — funnels through the single route
@@ -41,7 +27,7 @@ struct Conn {
 struct Op {
   enum class Kind { kBatch, kSubscribe, kUnsubscribe, kDetach };
   Kind kind = Kind::kBatch;
-  std::shared_ptr<Conn> conn;  // reply target (null for kDetach)
+  std::shared_ptr<net::FrontConn> conn;  // reply target (null for kDetach)
   net::IngestMsg ingest;       // kBatch
   OutlierQuery query;          // kSubscribe
   int64_t query_id = 0;        // kUnsubscribe / kDetach
@@ -62,15 +48,26 @@ struct Job {
 
 }  // namespace
 
-struct SopRouter::Impl {
-  explicit Impl(RouterOptions opts) : options(std::move(opts)) {}
+// The router is the Front's handler (net/front.h), like the single server:
+// the front serves the client connections, this routes their stream.
+struct SopRouter::Impl : net::FrontHandler {
+  // Lossless kBlock sends and no idle timeout, always.
+  explicit Impl(RouterOptions opts)
+      : options(std::move(opts)),
+        front(net::FrontOptions{.host = options.host,
+                                .port = options.port,
+                                .backlog = 128,
+                                .max_send_queue = options.max_send_queue,
+                                .retry = options.retry,
+                                .metric_prefix = "cluster/front"},
+              this) {}
 
   RouterOptions options;
+  net::Front front;
 
-  // --- always-on stats (obs may be compiled out) -------------------------
+  // --- always-on stats (obs may be compiled out); the front counts the
+  // connections and protocol errors ----------------------------------------
   struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> active_clients{0};
     std::atomic<uint64_t> ingest_batches{0};
     std::atomic<uint64_t> ingest_points{0};
     std::atomic<uint64_t> routed_points{0};
@@ -81,7 +78,6 @@ struct SopRouter::Impl {
     std::atomic<uint64_t> subscribes{0};
     std::atomic<uint64_t> refused_subscribes{0};
     std::atomic<uint64_t> unsubscribes{0};
-    std::atomic<uint64_t> protocol_errors{0};
     std::atomic<uint64_t> worker_reconnects{0};
     std::atomic<uint64_t> worker_failures{0};
     std::atomic<bool> degraded{false};
@@ -93,14 +89,11 @@ struct SopRouter::Impl {
   std::atomic<double> halo{0.0};
 
   // --- serving state -----------------------------------------------------
-  net::Socket listener;
-  std::thread accept_thread;
   std::thread route_thread;
+  // Set under ops_mu: no op is queued after it, and the route loop exits
+  // once the queue is drained.
   std::atomic<bool> stopping{false};
-
-  std::mutex conns_mu;
-  std::vector<std::shared_ptr<Conn>> conns;      // active; guarded
-  std::vector<std::shared_ptr<Conn>> all_conns;  // for Stop joins; guarded
+  bool stopped = false;  // controlling thread only
 
   // Bounded reader -> route-loop handoff. A full queue blocks readers, so
   // ingest backpressure propagates to the client's TCP stream.
@@ -108,12 +101,11 @@ struct SopRouter::Impl {
   std::condition_variable ops_cv_push;  // route loop waits
   std::condition_variable ops_cv_pop;   // readers wait for room
   std::deque<Op> ops;                   // guarded by ops_mu
-  bool draining = false;                // guarded by ops_mu
 
   // Subscriber registry: global query id -> query + owning connection.
   struct SubState {
     OutlierQuery query;
-    std::shared_ptr<Conn> conn;
+    std::shared_ptr<net::FrontConn> conn;
   };
   std::mutex subs_mu;
   std::map<int64_t, SubState> subs;  // guarded by subs_mu
@@ -121,6 +113,7 @@ struct SopRouter::Impl {
   // --- route-loop-only state (single thread, no locks) -------------------
   int64_t next_query_id = 1;
   bool halo_frozen = false;
+  StreamShape shape;    // what every routed point must keep
   int64_t max_win = 0;  // largest window ever subscribed
   Seq next_seq = 0;     // global arrival counter
   std::unique_ptr<Partitioner> partitioner;  // built at halo freeze
@@ -197,78 +190,41 @@ struct SopRouter::Impl {
   };
   std::vector<std::unique_ptr<Worker>> workers;
 
-  // --- send path ---------------------------------------------------------
+  // --- front-side protocol ----------------------------------------------
 
-  void EnqueueFrame(const std::shared_ptr<Conn>& conn, std::string frame) {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    conn->cv_room.wait(lock, [&] {
-      return conn->closing ||
-             conn->sendq.size() < options.max_send_queue;
-    });
-    if (conn->closing) return;  // peer gone; nobody to deliver to
-    conn->sendq.push_back(std::move(frame));
-    conn->cv_send.notify_one();
+  void FillHelloAck(net::HelloAckMsg* ack) override {
+    ack->window_type = static_cast<uint32_t>(options.window_type);
+    ack->metric = static_cast<uint32_t>(options.metric);
+    ack->role = static_cast<uint32_t>(net::ServerRole::kPrimary);
+    ack->detector = options.detector;
+    ack->last_boundary = last_boundary.load(std::memory_order_relaxed);
+    // The router's arrival counter: one global seq per ingested point.
+    ack->next_seq = stats.ingest_points.load(std::memory_order_relaxed);
   }
 
-  void SendError(const std::shared_ptr<Conn>& conn,
-                 const std::string& message) {
-    net::ErrorMsg msg;
-    msg.message = message;
-    EnqueueFrame(conn, EncodeError(msg));
+  void FillPong(net::PongMsg* pong) override {
+    pong->role = static_cast<uint32_t>(net::ServerRole::kPrimary);
+    pong->last_boundary = last_boundary.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(ops_mu);
+    pong->ingest_queue_depth = ops.size();
   }
 
-  void WriterLoop(const std::shared_ptr<Conn>& conn) {
-    for (;;) {
-      std::string frame;
-      {
-        std::unique_lock<std::mutex> lock(conn->mu);
-        conn->cv_send.wait(lock, [&] {
-          return conn->closing || !conn->sendq.empty();
-        });
-        if (conn->sendq.empty()) return;  // closing and drained
-        frame = std::move(conn->sendq.front());
-        conn->sendq.pop_front();
-        conn->cv_room.notify_all();
-      }
-      std::string error;
-      if (!SendAll(conn->sock, frame, options.retry, &error)) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->closing = true;
-        conn->sendq.clear();
-        conn->sock.ShutdownBoth();
-        conn->cv_room.notify_all();
-        return;
-      }
-    }
-  }
-
-  // --- connection lifecycle ---------------------------------------------
-
-  void CloseConn(const std::shared_ptr<Conn>& conn) {
-    bool was_active = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      auto it = std::find(conns.begin(), conns.end(), conn);
-      if (it != conns.end()) {
-        conns.erase(it);
-        was_active = true;
-      }
-    }
+  // Retires a closed connection's queries from the workers, through the
+  // route loop so retirement is ordered against in-flight batches. During
+  // shutdown EnqueueOp refuses: the workers are being torn down anyway.
+  void OnClose(const std::shared_ptr<net::FrontConn>& conn) override {
     std::vector<int64_t> retire;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->closing = true;
-      retire.swap(conn->sub_ids);
-      conn->sock.ShutdownBoth();
-      conn->cv_send.notify_all();
-      conn->cv_room.notify_all();
+      std::lock_guard<std::mutex> lock(subs_mu);
+      for (auto it = subs.begin(); it != subs.end();) {
+        if (it->second.conn == conn) {
+          retire.push_back(it->first);
+          it = subs.erase(it);
+        } else {
+          ++it;
+        }
+      }
     }
-    if (was_active) {
-      stats.active_clients.fetch_sub(1, std::memory_order_relaxed);
-    }
-    // Retire the dead client's queries from the workers, through the route
-    // loop so retirement is ordered against in-flight batches. During
-    // shutdown the workers are being torn down anyway — skip.
     for (const int64_t qid : retire) {
       Op op;
       op.kind = Op::Kind::kDetach;
@@ -282,63 +238,28 @@ struct SopRouter::Impl {
   bool EnqueueOp(Op op) {
     std::unique_lock<std::mutex> lock(ops_mu);
     ops_cv_pop.wait(lock, [&] {
-      return stopping.load(std::memory_order_relaxed) || draining ||
+      return stopping.load(std::memory_order_relaxed) ||
              ops.size() < options.max_ingest_queue;
     });
-    if (stopping.load(std::memory_order_relaxed) || draining) return false;
+    if (stopping.load(std::memory_order_relaxed)) return false;
     ops.push_back(std::move(op));
     SOP_GAUGE_SET_MAX("cluster/route/queue_depth", ops.size());
     ops_cv_push.notify_one();
     return true;
   }
 
-  // --- front-side protocol ----------------------------------------------
-
-  // Handles one decoded frame. False ends the connection.
-  bool Dispatch(const std::shared_ptr<Conn>& conn,
-                const std::string& payload) {
-    net::MsgType type;
+  // Handles one decoded frame (the front answers hello and ping itself).
+  // False ends the connection.
+  bool OnFrame(const std::shared_ptr<net::FrontConn>& conn, net::MsgType type,
+               const std::string& payload) override {
     std::string error;
-    if (!net::PeekType(payload, &type, &error)) {
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, error);
-      return false;
-    }
     switch (type) {
-      case net::MsgType::kHello: {
-        net::HelloMsg hello;
-        if (!net::DecodeHello(payload, &hello, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
-        }
-        if (hello.protocol_version != net::kProtocolVersion) {
-          // Same refusal as the server: an old peer would otherwise send
-          // frames whose decode failures make for baffling diagnostics.
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, "protocol version mismatch: router speaks v" +
-                              std::to_string(net::kProtocolVersion));
-          return false;
-        }
-        net::HelloAckMsg ack;
-        ack.protocol_version = net::kProtocolVersion;
-        ack.window_type = static_cast<uint32_t>(options.window_type);
-        ack.metric = static_cast<uint32_t>(options.metric);
-        ack.role = static_cast<uint32_t>(net::ServerRole::kPrimary);
-        ack.detector = options.detector;
-        ack.last_boundary = last_boundary.load(std::memory_order_relaxed);
-        // The router's arrival counter: one global seq per ingested point.
-        ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodeHelloAck(ack));
-        return true;
-      }
       case net::MsgType::kIngest: {
         Op op;
         op.kind = Op::Kind::kBatch;
         op.conn = conn;
         if (!net::DecodeIngest(payload, &op.ingest, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         // Ownership is the router's to assign; client-provided flags are
@@ -349,8 +270,7 @@ struct SopRouter::Impl {
       case net::MsgType::kSubscribe: {
         net::SubscribeMsg sub;
         if (!net::DecodeSubscribe(payload, &sub, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         // Same pre-validation as the single server: a bad wire query gets
@@ -363,7 +283,7 @@ struct SopRouter::Impl {
           stats.refused_subscribes.fetch_add(1, std::memory_order_relaxed);
           net::SubscribeAckMsg ack;
           ack.error = verdict;
-          EnqueueFrame(conn, EncodeSubscribeAck(ack));
+          front.Send(conn, EncodeSubscribeAck(ack));
           return true;
         }
         Op op;
@@ -375,21 +295,18 @@ struct SopRouter::Impl {
       case net::MsgType::kUnsubscribe: {
         net::UnsubscribeMsg unsub;
         if (!net::DecodeUnsubscribe(payload, &unsub, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         // A client may only retire its own subscriptions.
         bool owned = false;
         {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          auto it = std::find(conn->sub_ids.begin(), conn->sub_ids.end(),
-                              unsub.query_id);
-          owned = it != conn->sub_ids.end();
+          std::lock_guard<std::mutex> lock(subs_mu);
+          const auto it = subs.find(unsub.query_id);
+          owned = it != subs.end() && it->second.conn == conn;
         }
         if (!owned) {
-          net::UnsubscribeAckMsg ack;
-          EnqueueFrame(conn, EncodeUnsubscribeAck(ack));
+          front.Send(conn, EncodeUnsubscribeAck(net::UnsubscribeAckMsg{}));
           return true;
         }
         Op op;
@@ -398,96 +315,8 @@ struct SopRouter::Impl {
         op.query_id = unsub.query_id;
         return EnqueueOp(std::move(op));
       }
-      case net::MsgType::kPing: {
-        net::PingMsg ping;
-        if (!net::DecodePing(payload, &ping, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
-        }
-        net::PongMsg pong;
-        pong.token = ping.token;
-        pong.role = static_cast<uint32_t>(net::ServerRole::kPrimary);
-        pong.last_boundary = last_boundary.load(std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(ops_mu);
-          pong.ingest_queue_depth = ops.size();
-        }
-        {
-          std::vector<std::shared_ptr<Conn>> snapshot;
-          {
-            std::lock_guard<std::mutex> lock(conns_mu);
-            snapshot = conns;
-          }
-          uint64_t depth = 0;
-          for (const std::shared_ptr<Conn>& c : snapshot) {
-            std::lock_guard<std::mutex> lock(c->mu);
-            depth += c->sendq.size();
-          }
-          pong.send_queue_depth = depth;
-        }
-        pong.active_connections =
-            stats.active_clients.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodePong(pong));
-        return true;
-      }
       default:
-        SendError(conn, std::string("unexpected client message: ") +
-                            MsgTypeName(type));
-        return true;
-    }
-  }
-
-  void ReaderLoop(const std::shared_ptr<Conn>& conn) {
-    net::FrameDecoder decoder;
-    char buf[64 << 10];
-    for (;;) {
-      std::string error;
-      const int64_t n = RecvSome(conn->sock, buf, sizeof(buf),
-                                 options.retry, &error);
-      if (n <= 0) break;  // EOF, shutdown, or unrecoverable socket error
-      decoder.Append(buf, static_cast<size_t>(n));
-      bool drop = false;
-      for (;;) {
-        std::string payload;
-        const net::FrameDecoder::Status status =
-            decoder.Next(&payload, &error);
-        if (status == net::FrameDecoder::Status::kNeedMore) break;
-        if (status == net::FrameDecoder::Status::kError) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, "framing lost: " + error);
-          drop = true;
-          break;
-        }
-        if (!Dispatch(conn, payload)) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) break;
-    }
-    CloseConn(conn);
-  }
-
-  void AcceptLoop() {
-    for (;;) {
-      std::string error;
-      net::Socket sock = AcceptTcp(listener, &error);
-      if (!sock.valid()) {
-        if (stopping.load(std::memory_order_relaxed)) return;
-        continue;  // transient accept failure
-      }
-      auto conn = std::make_shared<Conn>();
-      conn->sock = std::move(sock);
-      {
-        std::lock_guard<std::mutex> lock(conns_mu);
-        conns.push_back(conn);
-        all_conns.push_back(conn);
-      }
-      stats.connections.fetch_add(1, std::memory_order_relaxed);
-      stats.active_clients.fetch_add(1, std::memory_order_relaxed);
-      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-      conn->writer = std::thread([this, conn] { WriterLoop(conn); });
+        return front.RefuseUnexpected(conn, type);
     }
   }
 
@@ -545,7 +374,7 @@ struct SopRouter::Impl {
           if (!w->client.ShardConfig(job.config, &ack, &error) || !ack.ok) {
             // Informational handshake; a refusal (another router claimed
             // this worker) is visible in the worker's stats and ours.
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+            front.CountProtocolErrors(1);
           }
           break;
         }
@@ -590,10 +419,7 @@ struct SopRouter::Impl {
           // Worker-server refusals surface as error pushes; they indicate
           // a worker out of step (e.g. restarted without its checkpoint).
           const size_t worker_errors = w->client.TakeErrors().size();
-          if (worker_errors > 0) {
-            stats.protocol_errors.fetch_add(worker_errors,
-                                            std::memory_order_relaxed);
-          }
+          if (worker_errors > 0) front.CountProtocolErrors(worker_errors);
           std::vector<net::EmissionMsg> kept;
           for (net::EmissionMsg& e : w->client.TakeEmissions()) {
             const auto it = w->client_to_global.find(e.query_id);
@@ -755,7 +581,7 @@ struct SopRouter::Impl {
                   (halo_frozen ? " (frozen at first ingest; redeploy with "
                                  "--halo or headroom radii covering it)"
                                : "");
-      EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+      front.Send(op.conn, EncodeSubscribeAck(ack));
       return;
     }
     const int64_t qid = next_query_id++;
@@ -769,23 +595,27 @@ struct SopRouter::Impl {
       net::SubscribeAckMsg ack;
       ack.error = t.error.empty() ? "subscription failed on a worker"
                                   : t.error;
-      EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+      front.Send(op.conn, EncodeSubscribeAck(ack));
       return;
     }
+    bool live = false;
     {
+      // A closing subscriber's OnClose has run or waits on subs_mu; a query
+      // registered now would never be retired.
       std::lock_guard<std::mutex> lock(subs_mu);
-      subs[qid] = SubState{op.query, op.conn};
+      live = !op.conn->closing();
+      if (live) subs[qid] = SubState{op.query, op.conn};
     }
-    {
-      std::lock_guard<std::mutex> lock(op.conn->mu);
-      op.conn->sub_ids.push_back(qid);
+    if (!live) {
+      AwaitTicket(FanOut(Job::Kind::kUnsubscribe, qid, OutlierQuery{}));
+      return;
     }
     max_win = std::max(max_win, op.query.win);
     stats.subscribes.fetch_add(1, std::memory_order_relaxed);
     SOP_COUNTER_ADD("cluster/route/subscribes", 1);
     net::SubscribeAckMsg ack;
     ack.query_id = qid;
-    EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+    front.Send(op.conn, EncodeSubscribeAck(ack));
   }
 
   void HandleRetire(Op& op) {
@@ -796,15 +626,9 @@ struct SopRouter::Impl {
       subs.erase(op.query_id);
     }
     if (op.conn != nullptr) {  // kUnsubscribe (kDetach has no reply target)
-      {
-        std::lock_guard<std::mutex> lock(op.conn->mu);
-        auto it = std::find(op.conn->sub_ids.begin(),
-                            op.conn->sub_ids.end(), op.query_id);
-        if (it != op.conn->sub_ids.end()) op.conn->sub_ids.erase(it);
-      }
       net::UnsubscribeAckMsg ack;
       ack.ok = t.ok;
-      EnqueueFrame(op.conn, EncodeUnsubscribeAck(ack));
+      front.Send(op.conn, EncodeUnsubscribeAck(ack));
     }
     stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
     SOP_COUNTER_ADD("cluster/route/unsubscribes", 1);
@@ -812,16 +636,25 @@ struct SopRouter::Impl {
 
   void HandleBatch(Op& op) {
     const int64_t boundary = op.ingest.boundary;
+    // The single server's refusals, checked before fan-out so no worker
+    // ever sees a batch that would abort it.
+    std::string refusal;
     if (boundary <= last_boundary.load(std::memory_order_relaxed)) {
-      SendError(op.conn, "ingest boundary " + std::to_string(boundary) +
-                             " does not advance the stream");
+      refusal = "ingest boundary " + std::to_string(boundary) +
+                " does not advance the stream";
+    } else {
+      refusal = shape.Check(op.ingest.points, options.window_type);
+    }
+    if (!refusal.empty()) {
+      front.Refuse(op.conn, std::move(refusal));
       net::IngestAckMsg ack;
       ack.boundary = boundary;
       // Refusal: the arrival counter is unchanged (v4 ack contract).
       ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-      EnqueueFrame(op.conn, EncodeIngestAck(ack));
+      front.Send(op.conn, EncodeIngestAck(ack));
       return;
     }
+    shape.Extend(op.ingest.points);
     if (!halo_frozen) {
       // First batch: the halo (and with it the partitioner) is final —
       // replicas already shipped cannot be widened retroactively. Declare
@@ -995,7 +828,7 @@ struct SopRouter::Impl {
       m.outliers.erase(std::unique(m.outliers.begin(), m.outliers.end()),
                        m.outliers.end());
       if (batch_failed) m.degraded = true;
-      std::shared_ptr<Conn> target;
+      std::shared_ptr<net::FrontConn> target;
       {
         std::lock_guard<std::mutex> lock(subs_mu);
         const auto it = subs.find(m.query_id);
@@ -1003,7 +836,7 @@ struct SopRouter::Impl {
       }
       if (target == nullptr) continue;  // retired mid-batch
       if (target == op.conn) ++to_ingester;
-      EnqueueFrame(target, EncodeEmission(m));
+      front.Send(target, EncodeEmission(m), /*droppable=*/true);
       ++emitted;
     }
     stats.merged_emissions.fetch_add(emitted, std::memory_order_relaxed);
@@ -1021,7 +854,7 @@ struct SopRouter::Impl {
     // The router's global arrival counter after this batch (incremented at
     // route time above) — same v4 contract as the single server's ack.
     ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-    EnqueueFrame(op.conn, EncodeIngestAck(ack));
+    front.Send(op.conn, EncodeIngestAck(ack));
 
     // Prune the sequence maps past the merge horizon: no future window
     // can reach keys older than boundary - retention.
@@ -1043,8 +876,10 @@ struct SopRouter::Impl {
       Op op;
       {
         std::unique_lock<std::mutex> lock(ops_mu);
-        ops_cv_push.wait(lock, [&] { return draining || !ops.empty(); });
-        if (ops.empty()) return;  // draining and drained
+        ops_cv_push.wait(lock, [&] {
+          return stopping.load(std::memory_order_relaxed) || !ops.empty();
+        });
+        if (ops.empty()) return;  // stopping and drained
         op = std::move(ops.front());
         ops.pop_front();
         ops_cv_pop.notify_one();
@@ -1141,64 +976,39 @@ bool SopRouter::Start(std::string* error) {
     im.workers.push_back(std::move(w));
   }
 
-  im.listener = net::ListenTcp(opt.host, opt.port, /*backlog=*/128, &port_,
-                               error);
-  if (!im.listener.valid()) return false;
+  if (!im.front.Start(error)) return false;
+  port_ = im.front.port();
 
   for (std::unique_ptr<Impl::Worker>& w : im.workers) {
     Impl::Worker* raw = w.get();
     raw->thread = std::thread([&im, raw] { im.WorkerLoop(raw); });
   }
   im.route_thread = std::thread([&im] { im.RouteLoop(); });
-  im.accept_thread = std::thread([&im] { im.AcceptLoop(); });
   return true;
 }
 
 void SopRouter::Stop() {
   Impl& im = *impl_;
-  bool expected = false;
-  if (!im.stopping.compare_exchange_strong(expected, true)) {
-    return;  // already stopped (or stopping)
-  }
+  if (im.stopped) return;
+  im.stopped = true;
 
-  // 1. Stop accepting: the shutdown unblocks the accept thread, and the
-  // close waits for the join — Close() rewrites the fd while AcceptTcp is
-  // still reading it (same discipline as SopServer::Stop).
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  im.listener.Close();
-
-  // 2. Tear down client connections: readers wake on the shutdown, their
-  // queued acks are dropped (the peers are gone). Blocking clients have
-  // already received acks for everything they ingested.
-  std::vector<std::shared_ptr<Conn>> all;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    all = im.all_conns;
-  }
-  for (const std::shared_ptr<Conn>& conn : all) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->closing = true;
-      conn->sock.ShutdownBoth();
-      conn->cv_send.notify_all();
-      conn->cv_room.notify_all();
-    }
-  }
-  for (const std::shared_ptr<Conn>& conn : all) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-
-  // 3. Drain the route loop: remaining queued ops complete against the
-  // still-running workers, then the loop exits.
-  {
+  // 1. Stop accepting and reading, like the single server: readers exit
+  // without closing their connections, and readers blocked on a full op
+  // queue are released (their op is not taken).
+  im.front.StopReading([&im] {
     std::lock_guard<std::mutex> lock(im.ops_mu);
-    im.draining = true;
-  }
-  im.ops_cv_push.notify_all();
-  im.ops_cv_pop.notify_all();
+    im.stopping.store(true, std::memory_order_relaxed);
+    im.ops_cv_pop.notify_all();
+    im.ops_cv_push.notify_all();
+  });
+
+  // 2. Drain the route loop: remaining queued ops complete against the
+  // still-running workers, and their acks and emissions queue up for the
+  // writers.
   if (im.route_thread.joinable()) im.route_thread.join();
+
+  // 3. Flush every client's queued acks and emissions (bounded).
+  im.front.DrainWriters();
 
   // 4. End the worker threads and close their clients.
   for (std::unique_ptr<Impl::Worker>& w : im.workers) {
@@ -1217,8 +1027,7 @@ void SopRouter::Stop() {
 RouterStats SopRouter::stats() const {
   const Impl::AtomicStats& a = impl_->stats;
   RouterStats s;
-  s.connections = a.connections.load(std::memory_order_relaxed);
-  s.active_clients = a.active_clients.load(std::memory_order_relaxed);
+  static_cast<net::FrontStats&>(s) = impl_->front.stats();
   s.ingest_batches = a.ingest_batches.load(std::memory_order_relaxed);
   s.ingest_points = a.ingest_points.load(std::memory_order_relaxed);
   s.routed_points = a.routed_points.load(std::memory_order_relaxed);
@@ -1231,7 +1040,6 @@ RouterStats SopRouter::stats() const {
   s.refused_subscribes =
       a.refused_subscribes.load(std::memory_order_relaxed);
   s.unsubscribes = a.unsubscribes.load(std::memory_order_relaxed);
-  s.protocol_errors = a.protocol_errors.load(std::memory_order_relaxed);
   s.worker_reconnects = a.worker_reconnects.load(std::memory_order_relaxed);
   s.worker_failures = a.worker_failures.load(std::memory_order_relaxed);
   s.degraded = a.degraded.load(std::memory_order_relaxed);

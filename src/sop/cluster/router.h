@@ -2,9 +2,11 @@
 //
 // One router fronts N sop_server WORKERS, each owning one shard of the
 // value domain (cluster/partition.h). To its own clients the router
-// speaks the ordinary wire protocol — sop_client, sop_datagen and the
-// loopback tests work against it unchanged — and behind that facade it
-// runs three cooperating roles:
+// speaks the ordinary wire protocol through the same connection front as
+// the single server (net/front.h) — sop_client, sop_datagen and the
+// loopback tests work against it unchanged, and malformed input is
+// refused (and counted) exactly as a server refuses it — and behind that
+// facade it runs three cooperating roles:
 //
 //   Partitioner  every ingested point is assigned one owner shard by its
 //                first attribute, plus a replica on every shard whose
@@ -79,6 +81,7 @@
 #include "sop/cluster/partition.h"
 #include "sop/common/distance.h"
 #include "sop/net/client.h"
+#include "sop/net/front.h"
 #include "sop/net/protocol.h"
 #include "sop/net/socket.h"
 #include "sop/query/plan.h"
@@ -135,10 +138,10 @@ struct RouterOptions {
   net::ReconnectOptions worker_reconnect;
 };
 
-/// Monotonic counters since Start(), always on (independent of obs).
-struct RouterStats {
-  uint64_t connections = 0;        // accepted client sockets, lifetime
-  uint64_t active_clients = 0;     // currently connected
+/// Monotonic counters since Start(), always on (independent of obs): the
+/// connection front's (FrontStats; its protocol_errors also count worker
+/// refusals) plus the router's.
+struct RouterStats : net::FrontStats {
   uint64_t ingest_batches = 0;     // client batches routed
   uint64_t ingest_points = 0;      // distinct points ingested
   uint64_t routed_points = 0;      // point copies shipped to workers
@@ -149,7 +152,6 @@ struct RouterStats {
   uint64_t subscribes = 0;
   uint64_t refused_subscribes = 0;     // bad query, or r > frozen halo
   uint64_t unsubscribes = 0;
-  uint64_t protocol_errors = 0;
   uint64_t worker_reconnects = 0;  // recoveries completed across workers
   uint64_t worker_failures = 0;    // batches a worker never acked
   /// True while a shard's verdicts are missing or its sequence map is
@@ -179,8 +181,11 @@ class SopRouter {
   /// the halo freezes. False with `*error` set on any mismatch.
   bool Start(std::string* error);
 
-  /// Graceful shutdown; idempotent. Stops accepting, drains the route
-  /// loop, joins the worker threads and closes every connection.
+  /// Graceful shutdown; idempotent. Same drain as SopServer::Stop():
+  /// stops accepting and reading, lets the route loop finish every queued
+  /// op against the still-running workers, flushes every client's queued
+  /// acks and emissions (a peer that does not read is cut off after 2 s),
+  /// then ends the worker threads and closes their clients.
   void Stop();
 
   /// The bound front port (valid after Start()).

@@ -165,6 +165,7 @@ std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
   SOP_CHECK_MSG(boundary > last_boundary_, "boundaries must increase");
   last_boundary_ = boundary;
   for (Point& p : batch) p.seq = next_seq_++;
+  shape_.Extend(batch);
 
   // Trim history no future replay can need, then realize any pending
   // workload change. Ordering matters: the change is applied before the
@@ -213,7 +214,8 @@ namespace {
 // frame, so truncation/corruption is caught before this version is read.
 // v2 adds basis headroom + the live basis' coverage floor; v1 blobs are
 // still accepted (they predate headroom and restore with the defaults).
-constexpr uint32_t kSessionStateVersion = 2;
+// v3 adds the stream shape; older blobs derive it from their history.
+constexpr uint32_t kSessionStateVersion = 3;
 }  // namespace
 
 std::string SopSession::SaveState() const {
@@ -253,6 +255,8 @@ std::string SopSession::SaveState() const {
   for (const double r : snapshot.layer_r) w.WriteDouble(r);
   w.WriteI64(snapshot.k_env);
   w.WriteI64(snapshot.win);
+  w.WriteU64(shape_.dims);
+  w.WriteI64(shape_.last_time);
 
   w.WriteU64(history_.size());
   for (const HistoryBatch& b : history_) {
@@ -352,6 +356,15 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
       return fail("bad basis snapshot");
     }
   }
+  StreamShape shape;
+  const bool has_shape = version >= 3;
+  if (has_shape) {
+    uint64_t dims = 0;
+    if (!r.ReadU64(&dims) || !r.ReadI64(&shape.last_time)) {
+      return fail("truncated stream shape");
+    }
+    shape.dims = static_cast<size_t>(dims);
+  }
 
   uint64_t num_batches = 0;
   if (!r.ReadU64(&num_batches)) return fail("truncated");
@@ -382,6 +395,7 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
       }
       b.points.push_back(std::move(p));
     }
+    if (!has_shape) shape.Extend(b.points);
     history.push_back(std::move(b));
   }
   if (!r.AtEnd()) return fail("trailing bytes");
@@ -391,6 +405,7 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
   next_id_ = next_id;
   next_seq_ = next_seq;
   last_boundary_ = last_boundary;
+  shape_ = shape;
   headroom_ = std::move(headroom);
   restored_basis_ = std::move(snapshot);
   detector_.reset();

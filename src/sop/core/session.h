@@ -52,6 +52,7 @@
 
 #include "sop/core/sop_detector.h"
 #include "sop/query/workload.h"
+#include "sop/stream/record_policy.h"
 
 namespace sop {
 
@@ -130,6 +131,12 @@ class SopSession {
   /// LoadState; the serving layer reports it in acks so a scale-out router
   /// can keep its local->global sequence maps anchored (cluster/router.h).
   Seq next_seq() const { return next_seq_; }
+
+  /// The shape of the stream advanced so far: the dimensionality its first
+  /// point pinned and the newest point's time. Survives SaveState/
+  /// LoadState, so a restored session's host refuses exactly what the
+  /// original would have (StreamShape::Check).
+  const StreamShape& shape() const { return shape_; }
 
   /// Replaces the detector factory (default: SopDetector). Takes effect at
   /// the next rebuild; call before the first Advance for a uniform run.
@@ -247,6 +254,7 @@ class SopSession {
   SessionChangeStats change_stats_;
   int64_t last_boundary_ = INT64_MIN;
   Seq next_seq_ = 0;
+  StreamShape shape_;
 };
 
 }  // namespace sop

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <tuple>
@@ -19,10 +18,10 @@
 #include "sop/common/clock.h"
 #include "sop/common/fault.h"
 #include "sop/common/frame.h"
-#include "sop/common/thread_pool.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
 #include "sop/io/file_util.h"
+#include "sop/net/front.h"
 #include "sop/net/protocol.h"
 #include "sop/obs/trace.h"
 
@@ -31,42 +30,8 @@ namespace net {
 
 namespace {
 
-/// One connected client. The reader thread owns protocol dispatch; the
-/// writer thread drains the bounded send queue; everything shared between
-/// them (and the detection loop, which enqueues emissions) sits behind mu.
-struct Conn {
-  explicit Conn(Socket s) : sock(std::move(s)) {}
-
-  Socket sock;
-  std::thread reader;
-  std::thread writer;
-  std::atomic<bool> writer_done{false};  // writer thread has exited
-
-  std::mutex mu;
-  std::condition_variable cv_push;  // writer waits: queue non-empty/closing
-  std::condition_variable cv_pop;   // kBlock enqueuers wait: queue has room
-  std::condition_variable cv_done;  // Stop() waits: writer_done
-
-  struct Outgoing {
-    std::string frame;
-    bool droppable;  // emissions may be shed; control replies never
-  };
-  std::deque<Outgoing> sendq;       // guarded by mu
-  bool closing = false;             // guarded by mu
-  bool hello_done = false;          // guarded by mu (reader-only in practice)
-  // This connection carries inbound replication (we are a standby and a
-  // primary ships state over it). Its loss is primary loss.
-  bool is_repl = false;             // guarded by mu
-  // An emission to this subscriber was shed (or its resume had a gap); the
-  // next delivered emission carries degraded=true so the loss is visible.
-  bool degraded_pending = false;    // guarded by mu
-  // Subscribed query id -> suppress boundary: live emissions at or below
-  // it were already delivered by resume replay and must not repeat.
-  std::map<QueryId, int64_t> subs;  // guarded by mu
-};
-
 struct IngestOp {
-  std::shared_ptr<Conn> conn;
+  std::shared_ptr<FrontConn> conn;
   IngestMsg msg;
 };
 
@@ -80,30 +45,33 @@ Fingerprint FingerprintOf(const OutlierQuery& q) {
 
 }  // namespace
 
-struct SopServer::Impl {
-  explicit Impl(ServerOptions opts) : options(std::move(opts)) {}
+// The server is the Front's handler (net/front.h): the front serves the
+// connections, this serves the session.
+struct SopServer::Impl : FrontHandler {
+  explicit Impl(ServerOptions opts)
+      : options(std::move(opts)),
+        front(FrontOptions{.host = options.host,
+                           .port = options.port,
+                           .max_send_queue = options.max_send_queue,
+                           .send_policy = options.send_policy,
+                           .idle_timeout_ms = options.idle_timeout_ms,
+                           .retry = options.retry},
+              this) {}
 
   ServerOptions options;
+  Front front;
 
-  // --- always-on stats (obs may be compiled out) -------------------------
+  // --- always-on stats (obs may be compiled out); the front counts the
+  // connections, frames and bytes ------------------------------------------
   struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> active_clients{0};
-    std::atomic<uint64_t> frames_in{0};
-    std::atomic<uint64_t> frames_out{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
     std::atomic<uint64_t> ingest_batches{0};
     std::atomic<uint64_t> ingest_points{0};
     std::atomic<uint64_t> halo_points{0};
     std::atomic<uint64_t> emissions{0};
-    std::atomic<uint64_t> shed_emissions{0};
     std::atomic<uint64_t> subscribes{0};
     std::atomic<uint64_t> unsubscribes{0};
-    std::atomic<uint64_t> protocol_errors{0};
     std::atomic<uint64_t> checkpoints{0};
     std::atomic<uint64_t> checkpoint_failures{0};
-    std::atomic<uint64_t> idle_disconnects{0};
     std::atomic<uint64_t> promotions{0};
     std::atomic<uint64_t> repl_snapshots_sent{0};
     std::atomic<uint64_t> repl_batches_sent{0};
@@ -117,10 +85,7 @@ struct SopServer::Impl {
   AtomicStats stats;
 
   // --- serving state -----------------------------------------------------
-  Socket listener;
-  std::thread accept_thread;
-  std::unique_ptr<ThreadPool> pool;
-  std::future<void> detect_done;
+  std::thread detect_thread;
 
   std::atomic<uint32_t> role{static_cast<uint32_t>(ServerRole::kPrimary)};
 
@@ -141,8 +106,17 @@ struct SopServer::Impl {
   };
   std::map<Fingerprint, RingState> ring;      // guarded by session_mu
 
-  std::mutex conns_mu;
-  std::vector<std::shared_ptr<Conn>> conns;   // guarded by conns_mu
+  // Live subscriptions: session query id -> owning connection, plus the
+  // suppress boundary — live emissions at or below it were already
+  // delivered by resume replay and must not repeat.
+  struct Subscriber {
+    std::shared_ptr<FrontConn> conn;
+    int64_t suppress_to = kNoResume;
+  };
+  std::map<QueryId, Subscriber> subscribers;  // guarded by session_mu
+  // Connections carrying inbound replication (we are a standby and a
+  // primary ships state over them). Their loss is primary loss.
+  std::set<const FrontConn*> repl_conns;      // guarded by session_mu
 
   // Scale-out plane (DESIGN.md Sec. 17): the shard assignment a router
   // declared for this worker. Informational — routing is the router's job
@@ -179,69 +153,52 @@ struct SopServer::Impl {
     return static_cast<ServerRole>(role.load(std::memory_order_relaxed));
   }
 
-  // Enqueues one frame for `conn`'s writer. Droppable frames respect the
-  // queue bound under the configured overload policy; control frames
-  // bypass the bound (they are request-paced, so the reader's own
-  // backpressure already limits them). Returns false if the frame was
-  // dropped (connection closing, or shed under kDropOldest).
-  bool EnqueueFrame(const std::shared_ptr<Conn>& conn, std::string frame,
-                    bool droppable) {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    if (conn->closing) return false;
-    if (droppable && conn->sendq.size() >= options.max_send_queue) {
-      if (options.send_policy == OverloadPolicy::kDropOldest) {
-        // Shed the oldest queued emission; never a control reply.
-        for (auto it = conn->sendq.begin(); it != conn->sendq.end(); ++it) {
-          if (it->droppable) {
-            conn->sendq.erase(it);
-            conn->degraded_pending = true;
-            stats.shed_emissions.fetch_add(1, std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/shed_emissions", 1);
-            break;
-          }
-        }
-      } else {
-        // kBlock: lossless backpressure into the detection loop.
-        conn->cv_pop.wait(lock, [&] {
-          return conn->closing ||
-                 conn->sendq.size() < options.max_send_queue;
-        });
-        if (conn->closing) return false;
-      }
-    }
-    conn->sendq.push_back(Conn::Outgoing{std::move(frame), droppable});
-    SOP_GAUGE_SET_MAX("net/server/send_queue_depth", conn->sendq.size());
-    conn->cv_push.notify_one();
-    return true;
+  // Marks the server stopping and wakes the detection loop and every
+  // reader blocked on a full ingest queue.
+  void StopIngest() {
+    std::lock_guard<std::mutex> lock(ingest_mu);
+    stopping.store(true, std::memory_order_relaxed);
+    ingest_cv_push.notify_all();
+    ingest_cv_pop.notify_all();
   }
 
-  // Marks `conn` closing, wakes its threads, and retires its
-  // subscriptions. On a standby with promote_on_loss, losing the inbound
-  // replication connection is primary loss: promote. Idempotent; callable
-  // from any thread.
-  void CloseConn(const std::shared_ptr<Conn>& conn) {
-    std::vector<QueryId> subs;
+  void FillHelloAck(HelloAckMsg* ack) override {
+    ack->window_type = static_cast<uint32_t>(options.window_type);
+    ack->metric = static_cast<uint32_t>(options.metric);
+    ack->role = role.load(std::memory_order_relaxed);
+    ack->detector = options.detector;
+    std::lock_guard<std::mutex> lock(session_mu);
+    ack->last_boundary = last_boundary;
+    ack->next_seq = static_cast<uint64_t>(session->next_seq());
+  }
+
+  void FillPong(PongMsg* pong) override {
+    pong->role = role.load(std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(session_mu);
+      pong->last_boundary = last_boundary;
+    }
+    std::lock_guard<std::mutex> lock(ingest_mu);
+    pong->ingest_queue_depth = ingest_queue.size();
+  }
+
+  // Retires a closed connection's subscriptions. On a standby with
+  // promote_on_loss, losing the inbound replication connection is primary
+  // loss: promote.
+  void OnClose(const std::shared_ptr<FrontConn>& conn) override {
     bool was_repl = false;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closing) return;
-      conn->closing = true;
-      was_repl = conn->is_repl;
-      subs.reserve(conn->subs.size());
-      for (const auto& entry : conn->subs) subs.push_back(entry.first);
-      conn->subs.clear();
-      conn->cv_push.notify_all();
-      conn->cv_pop.notify_all();
-    }
-    conn->sock.ShutdownBoth();  // unblocks recv/send in reader/writer
-    if (!subs.empty()) {
       std::lock_guard<std::mutex> lock(session_mu);
-      for (const QueryId id : subs) session->RemoveQuery(id);
+      was_repl = repl_conns.erase(conn.get()) > 0;
+      for (auto it = subscribers.begin(); it != subscribers.end();) {
+        if (it->second.conn == conn) {
+          session->RemoveQuery(it->first);
+          it = subscribers.erase(it);
+        } else {
+          ++it;
+        }
+      }
     }
-    stats.active_clients.fetch_sub(1, std::memory_order_relaxed);
-    SOP_GAUGE_SET("net/server/active_clients",
-                  stats.active_clients.load(std::memory_order_relaxed));
-    SOP_COUNTER_ADD("net/server/disconnects", 1);
     if (was_repl && options.standby && options.promote_on_loss &&
         !stopping.load(std::memory_order_relaxed) &&
         !killing.load(std::memory_order_relaxed)) {
@@ -269,48 +226,11 @@ struct SopServer::Impl {
     SOP_COUNTER_ADD("net/server/promotions", 1);
   }
 
-  void WriterLoop(const std::shared_ptr<Conn>& conn) {
-    WriterBody(conn);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->writer_done.store(true, std::memory_order_release);
-    }
-    conn->cv_done.notify_all();
-  }
-
-  void WriterBody(const std::shared_ptr<Conn>& conn) {
-    for (;;) {
-      Conn::Outgoing out;
-      {
-        std::unique_lock<std::mutex> lock(conn->mu);
-        conn->cv_push.wait(lock, [&] {
-          return conn->closing || !conn->sendq.empty();
-        });
-        // Drain queued frames even when closing: Stop() expects in-flight
-        // acks to reach clients before the socket goes down — but a writer
-        // stuck on a dead peer still exits via SendAll failure below.
-        if (conn->sendq.empty()) return;
-        out = std::move(conn->sendq.front());
-        conn->sendq.pop_front();
-        conn->cv_pop.notify_one();
-      }
-      std::string error;
-      if (!SendAll(conn->sock, out.frame, options.retry, &error)) {
-        CloseConn(conn);
-        return;
-      }
-      stats.frames_out.fetch_add(1, std::memory_order_relaxed);
-      stats.bytes_out.fetch_add(out.frame.size(), std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/frames_out", 1);
-      SOP_COUNTER_ADD("net/server/bytes_out", out.frame.size());
-    }
-  }
-
-  void SendError(const std::shared_ptr<Conn>& conn, std::string message) {
-    stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("net/server/protocol_errors", 1);
-    EnqueueFrame(conn, EncodeError(ErrorMsg{std::move(message)}),
-                 /*droppable=*/false);
+  // Marks `conn` as carrying inbound replication. session_mu held.
+  void MarkReplLocked(const std::shared_ptr<FrontConn>& conn) {
+    // A connection already closing has had (or is about to have) its
+    // OnClose; registering it now would leave a dangling entry.
+    if (!conn->closing()) repl_conns.insert(conn.get());
   }
 
   // Appends one emission to its fingerprint's ring slice, bounded by
@@ -531,72 +451,35 @@ struct SopServer::Impl {
     }
   }
 
-  // Handles one complete, CRC-verified frame payload from `conn`.
-  // Returns false when the connection must be dropped.
-  bool Dispatch(const std::shared_ptr<Conn>& conn,
-                const std::string& payload) {
-    MsgType type;
+  // Handles one complete, CRC-verified frame payload from `conn` (the front
+  // answers hello and ping itself). Returns false when the connection must
+  // be dropped.
+  bool OnFrame(const std::shared_ptr<FrontConn>& conn, MsgType type,
+               const std::string& payload) override {
     std::string error;
-    if (!PeekType(payload, &type, &error)) {
-      SendError(conn, error);
-      return false;
-    }
     switch (type) {
-      case MsgType::kHello: {
-        HelloMsg hello;
-        if (!DecodeHello(payload, &hello, &error)) {
-          SendError(conn, error);
-          return false;
-        }
-        if (hello.protocol_version != kProtocolVersion) {
-          SendError(conn, "protocol version mismatch: server speaks v" +
-                              std::to_string(kProtocolVersion));
-          return false;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->hello_done = true;
-        }
-        HelloAckMsg ack;
-        ack.protocol_version = kProtocolVersion;
-        ack.window_type = static_cast<uint32_t>(options.window_type);
-        ack.metric = static_cast<uint32_t>(options.metric);
-        ack.role = role.load(std::memory_order_relaxed);
-        ack.detector = options.detector;
-        {
-          std::lock_guard<std::mutex> session_lock(session_mu);
-          ack.last_boundary = last_boundary;
-          ack.next_seq = static_cast<uint64_t>(session->next_seq());
-        }
-        EnqueueFrame(conn, EncodeHelloAck(ack), /*droppable=*/false);
-        return true;
-      }
       case MsgType::kIngest: {
         IngestOp op;
         op.conn = conn;
         if (!DecodeIngest(payload, &op.msg, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         if (RoleNow() == ServerRole::kStandby) {
           // A standby's stream position is owned by replication; clients
           // must ingest at the primary.
-          SendError(conn, "standby: ingest is served by the primary");
+          front.Refuse(conn, "standby: ingest is served by the primary");
           IngestAckMsg ack;
           ack.boundary = op.msg.boundary;
-          EnqueueFrame(conn, EncodeIngestAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeIngestAck(ack));
           return true;
         }
         std::unique_lock<std::mutex> lock(ingest_mu);
         ingest_cv_pop.wait(lock, [&] {
           return stopping.load(std::memory_order_relaxed) ||
-                 killing.load(std::memory_order_relaxed) ||
                  ingest_queue.size() < options.max_ingest_queue;
         });
-        if (stopping.load(std::memory_order_relaxed) ||
-            killing.load(std::memory_order_relaxed)) {
-          return false;
-        }
+        if (stopping.load(std::memory_order_relaxed)) return false;
         ingest_queue.push_back(std::move(op));
         SOP_GAUGE_SET_MAX("net/server/ingest_queue_depth",
                           ingest_queue.size());
@@ -606,13 +489,13 @@ struct SopServer::Impl {
       case MsgType::kSubscribe: {
         SubscribeMsg sub;
         if (!DecodeSubscribe(payload, &sub, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         if (RoleNow() == ServerRole::kStandby) {
           SubscribeAckMsg ack;
           ack.error = "standby: subscriptions are served by the primary";
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeSubscribeAck(ack));
           return true;
         }
         // Pre-validate exactly as SopSession::AddQuery would CHECK: a bad
@@ -625,7 +508,7 @@ struct SopServer::Impl {
           SubscribeAckMsg ack;
           ack.query_id = 0;
           ack.error = verdict;
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeSubscribeAck(ack));
           return true;
         }
         SubscribeAckMsg ack;
@@ -635,9 +518,11 @@ struct SopServer::Impl {
           // them, so replayed + suppressed + live emissions partition the
           // boundary axis exactly — each emission delivered once.
           std::lock_guard<std::mutex> session_lock(session_mu);
+          // A closing connection's OnClose has run or waits on session_mu;
+          // a query registered now would never be retired.
+          if (conn->closing()) return false;
           ack.query_id = session->AddQuery(sub.query);
-          int64_t suppress_to =
-              sub.resume_from == kNoResume ? kNoResume : sub.resume_from;
+          int64_t suppress_to = sub.resume_from;
           std::vector<std::string> replay;
           if (sub.resume_from != kNoResume) {
             const auto it = ring.find(FingerprintOf(sub.query));
@@ -661,11 +546,8 @@ struct SopServer::Impl {
             // fingerprint, so nothing is known lost — a fresh start.
           }
           ack.replayed = replay.size();
-          {
-            std::lock_guard<std::mutex> lock(conn->mu);
-            conn->subs.emplace(ack.query_id, suppress_to);
-            if (ack.gap) conn->degraded_pending = true;
-          }
+          subscribers[ack.query_id] = Subscriber{conn, suppress_to};
+          if (ack.gap) conn->MarkDegraded();
           stats.subscribes.fetch_add(1, std::memory_order_relaxed);
           SOP_COUNTER_ADD("net/server/subscribes", 1);
           if (ack.gap) {
@@ -680,91 +562,49 @@ struct SopServer::Impl {
           // Replayed emissions precede the ack on the wire; both are
           // control-paced (never shed). Enqueued under session_mu so a
           // concurrent batch's live emissions cannot jump ahead of them.
-          for (std::string& f : replay) {
-            EnqueueFrame(conn, std::move(f), /*droppable=*/false);
-          }
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          for (std::string& f : replay) front.Send(conn, std::move(f));
+          front.Send(conn, EncodeSubscribeAck(ack));
         }
         return true;
       }
       case MsgType::kUnsubscribe: {
         UnsubscribeMsg unsub;
         if (!DecodeUnsubscribe(payload, &unsub, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
-        // A client may only retire its own subscriptions.
-        bool owned = false;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          owned = conn->subs.erase(unsub.query_id) > 0;
-        }
         UnsubscribeAckMsg ack;
-        if (owned) {
+        {
+          // A client may only retire its own subscriptions.
           std::lock_guard<std::mutex> session_lock(session_mu);
-          ack.ok = session->RemoveQuery(unsub.query_id);
+          const auto it = subscribers.find(unsub.query_id);
+          if (it != subscribers.end() && it->second.conn == conn) {
+            subscribers.erase(it);
+            ack.ok = session->RemoveQuery(unsub.query_id);
+          }
         }
         if (ack.ok) {
           stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
           SOP_COUNTER_ADD("net/server/unsubscribes", 1);
         }
-        EnqueueFrame(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
-        return true;
-      }
-      case MsgType::kPing: {
-        PingMsg ping;
-        if (!DecodePing(payload, &ping, &error)) {
-          SendError(conn, error);
-          return false;
-        }
-        PongMsg pong;
-        pong.token = ping.token;
-        pong.role = role.load(std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> session_lock(session_mu);
-          pong.last_boundary = last_boundary;
-        }
-        {
-          std::lock_guard<std::mutex> lock(ingest_mu);
-          pong.ingest_queue_depth = ingest_queue.size();
-        }
-        {
-          std::vector<std::shared_ptr<Conn>> snapshot;
-          {
-            std::lock_guard<std::mutex> lock(conns_mu);
-            snapshot = conns;
-          }
-          uint64_t depth = 0;
-          for (const std::shared_ptr<Conn>& c : snapshot) {
-            std::lock_guard<std::mutex> lock(c->mu);
-            depth += c->sendq.size();
-          }
-          pong.send_queue_depth = depth;
-        }
-        pong.active_connections =
-            stats.active_clients.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodePong(pong), /*droppable=*/false);
+        front.Send(conn, EncodeUnsubscribeAck(ack));
         return true;
       }
       case MsgType::kReplSnapshot: {
         if (!options.standby) {
-          SendError(conn, "not a standby: replication refused");
+          front.Refuse(conn, "not a standby: replication refused");
           return false;
         }
         ReplSnapshotMsg msg;
         if (!DecodeReplSnapshot(payload, &msg, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         if (RoleNow() != ServerRole::kStandby) {
           // Already promoted: a resurrected old primary must not demote
           // this server's live stream. It gets an error, not an ack.
-          SendError(conn, "promoted: no longer accepting replication");
+          front.Refuse(conn, "promoted: no longer accepting replication");
           return false;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->is_repl = true;
         }
         // Restore into a fresh session so a failed apply leaves the
         // current one untouched.
@@ -779,6 +619,7 @@ struct SopServer::Impl {
         ReplAckMsg ack;
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
+          MarkReplLocked(conn);
           if (ok) {
             for (const QueryId id : fresh->RegisteredQueryIds()) {
               fresh->RemoveQuery(id);
@@ -794,37 +635,38 @@ struct SopServer::Impl {
           ack.boundary = last_boundary;
         }
         ack.need_snapshot = !ok;
-        EnqueueFrame(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeReplAck(ack));
         return true;
       }
       case MsgType::kReplBatch: {
         if (!options.standby) {
-          SendError(conn, "not a standby: replication refused");
+          front.Refuse(conn, "not a standby: replication refused");
           return false;
         }
         ReplBatchMsg msg;
         if (!DecodeReplBatch(payload, &msg, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         if (RoleNow() != ServerRole::kStandby) {
-          SendError(conn, "promoted: no longer accepting replication");
+          front.Refuse(conn, "promoted: no longer accepting replication");
           return false;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->is_repl = true;
         }
         ReplAckMsg ack;
         std::string checkpoint_frame;
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
+          MarkReplLocked(conn);
           if (msg.boundary <= last_boundary) {
             // Stale duplicate (resent across a resync): already applied.
             ack.boundary = last_boundary;
-          } else if (msg.prev_boundary != last_boundary) {
+          } else if (msg.prev_boundary != last_boundary ||
+                     !session->shape()
+                          .Check(msg.points, options.window_type)
+                          .empty()) {
             // Chain broken — batches were lost between the primary and
-            // us. Demand a snapshot rather than apply a gapped stream.
+            // us — or points the session cannot take. Demand a snapshot
+            // rather than apply a gapped or malformed stream.
             ack.boundary = last_boundary;
             ack.need_snapshot = true;
           } else {
@@ -853,7 +695,7 @@ struct SopServer::Impl {
             }
           }
         }
-        EnqueueFrame(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeReplAck(ack));
         if (!checkpoint_frame.empty()) {
           PublishCheckpoint(std::move(checkpoint_frame));
         }
@@ -862,7 +704,7 @@ struct SopServer::Impl {
       case MsgType::kShardConfig: {
         ShardConfigMsg msg;
         if (!DecodeShardConfig(payload, &msg, &error)) {
-          SendError(conn, error);
+          front.Refuse(conn, error);
           return false;
         }
         ShardConfigAckMsg ack;
@@ -886,137 +728,12 @@ struct SopServer::Impl {
           SOP_GAUGE_SET("net/server/shard_index", msg.shard_index);
           SOP_GAUGE_SET("net/server/num_shards", msg.num_shards);
         }
-        EnqueueFrame(conn, EncodeShardConfigAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeShardConfigAck(ack));
         return true;
       }
       default:
-        // Server-bound streams never carry server-push types; a client
-        // sending one is confused but not fatal.
-        SendError(conn, std::string("unexpected client message: ") +
-                            MsgTypeName(type));
-        return true;
+        return front.RefuseUnexpected(conn, type);
     }
-  }
-
-  void ReaderLoop(const std::shared_ptr<Conn>& conn) {
-    FrameDecoder decoder;
-    char buf[64 << 10];
-    bool timed_out = false;
-    for (;;) {
-      std::string error;
-      const int64_t n =
-          RecvSomeTimeout(conn->sock, buf, sizeof(buf),
-                          options.idle_timeout_ms, options.retry, &error);
-      if (n == kRecvTimedOut) {
-        // Only a mid-frame stall is hostile (slow-loris); a connection
-        // with no partial frame pending is just a quiet subscriber.
-        if (decoder.buffered_bytes() > 0) {
-          stats.idle_disconnects.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/idle_disconnects", 1);
-          timed_out = true;
-          break;
-        }
-        continue;
-      }
-      if (n <= 0) break;  // orderly close, hard error, or retry exhaustion
-      stats.bytes_in.fetch_add(static_cast<uint64_t>(n),
-                               std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/bytes_in", n);
-      decoder.Append(buf, static_cast<size_t>(n));
-      bool drop = false;
-      for (;;) {
-        std::string payload;
-        const FrameDecoder::Status status = decoder.Next(&payload, &error);
-        if (status == FrameDecoder::Status::kNeedMore) break;
-        if (status == FrameDecoder::Status::kError) {
-          // Framing lost: this connection cannot resync. Tell the client
-          // why (best effort) and drop it; the process and every other
-          // connection stay up.
-          SendError(conn, error);
-          drop = true;
-          break;
-        }
-        stats.frames_in.fetch_add(1, std::memory_order_relaxed);
-        SOP_COUNTER_ADD("net/server/frames_in", 1);
-        if (!Dispatch(conn, payload)) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) break;
-    }
-    // During a graceful Stop the reader exits on EOF (ShutdownRead) but
-    // must NOT abort-close the connection: the writer is still draining
-    // queued acks and emissions. Every other exit closes as usual.
-    if (!stopping.load(std::memory_order_relaxed) || timed_out) {
-      CloseConn(conn);
-    }
-  }
-
-  void AcceptLoop() {
-    for (;;) {
-      std::string error;
-      Socket sock = AcceptTcp(listener, &error);
-      if (!sock.valid()) {
-        if (stopping.load(std::memory_order_relaxed)) return;
-        continue;  // transient accept failure; keep serving
-      }
-      if (stopping.load(std::memory_order_relaxed)) return;
-      auto conn = std::make_shared<Conn>(std::move(sock));
-      stats.connections.fetch_add(1, std::memory_order_relaxed);
-      stats.active_clients.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/connections", 1);
-      SOP_GAUGE_SET(
-          "net/server/active_clients",
-          stats.active_clients.load(std::memory_order_relaxed));
-      // Register the connection before its reader can process a frame: a
-      // subscribe handled before this conn is visible in `conns` would let
-      // the next batch's emissions bypass the brand-new subscriber. Stop()
-      // joins the accept thread before it snapshots `conns`, so a conn
-      // registered here always has its threads spawned by then.
-      {
-        std::lock_guard<std::mutex> lock(conns_mu);
-        conns.push_back(conn);
-      }
-      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-      conn->writer = std::thread([this, conn] { WriterLoop(conn); });
-    }
-  }
-
-  // Fans one batch's session results out to subscribers. Returns how many
-  // emission frames were enqueued for `ingester` (reported in its ack).
-  uint64_t RouteEmissions(const std::vector<SessionResult>& results,
-                          const std::shared_ptr<Conn>& ingester) {
-    uint64_t to_ingester = 0;
-    std::vector<std::shared_ptr<Conn>> snapshot;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      snapshot = conns;
-    }
-    for (const SessionResult& r : results) {
-      for (const std::shared_ptr<Conn>& conn : snapshot) {
-        EmissionMsg m;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (conn->closing) continue;
-          const auto it = conn->subs.find(r.query_id);
-          if (it == conn->subs.end()) continue;
-          // Already delivered by resume replay: suppress the duplicate.
-          if (r.boundary <= it->second) continue;
-          m.degraded = r.degraded || conn->degraded_pending;
-          conn->degraded_pending = false;
-        }
-        m.query_id = r.query_id;
-        m.boundary = r.boundary;
-        m.outliers = r.outliers;
-        if (EnqueueFrame(conn, EncodeEmission(m), /*droppable=*/true)) {
-          stats.emissions.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/emissions", 1);
-          if (conn == ingester) ++to_ingester;
-        }
-      }
-    }
-    return to_ingester;
   }
 
   // Publishes one snapshot frame to options.checkpoint_path (atomic
@@ -1051,6 +768,11 @@ struct SopServer::Impl {
 
   void DetectLoop() {
     const bool replicate = !options.replicate_host.empty();
+    // One emission bound for a subscriber, resolved under session_mu.
+    struct Delivery {
+      std::shared_ptr<FrontConn> conn;
+      SessionResult result;
+    };
     for (;;) {
       IngestOp op;
       {
@@ -1066,8 +788,9 @@ struct SopServer::Impl {
         ingest_cv_pop.notify_one();
       }
 
-      std::vector<SessionResult> results;
+      std::vector<Delivery> deliveries;
       std::string checkpoint_blob;
+      std::string refusal;
       const uint64_t batch_size = op.msg.points.size();
       uint64_t halo_size = 0;  // replicas in the batch (owner flag 0)
       for (const uint8_t o : op.msg.owner) halo_size += (o == 0) ? 1 : 0;
@@ -1075,20 +798,26 @@ struct SopServer::Impl {
       if (replicate) repl_points = op.msg.points;  // before the move below
       std::vector<EmissionRecord> repl_records;
       int64_t prev_boundary = kNoResume;
-      bool accepted = false;
       uint64_t next_seq = 0;
       {
         std::lock_guard<std::mutex> lock(session_mu);
-        // Pre-validate what SopSession::Advance would CHECK: boundaries
-        // must strictly increase. Bad wire input gets an error reply, not
-        // a process abort.
-        if (op.msg.boundary > last_boundary) {
-          accepted = true;
+        // Pre-validate what SopSession::Advance and the detector would
+        // CHECK: boundaries strictly increase and the points keep the
+        // stream's shape. Bad wire input gets an error reply, not a process
+        // abort.
+        if (op.msg.boundary <= last_boundary) {
+          refusal = "ingest boundary " + std::to_string(op.msg.boundary) +
+                    " does not advance the stream";
+        } else {
+          refusal = session->shape().Check(op.msg.points,
+                                           options.window_type);
+        }
+        if (refusal.empty()) {
           prev_boundary = last_boundary;
           last_boundary = op.msg.boundary;
           SOP_TRACE("net/server/advance_ms");
-          results = session->Advance(std::move(op.msg.points),
-                                     op.msg.boundary);
+          std::vector<SessionResult> results = session->Advance(
+              std::move(op.msg.points), op.msg.boundary);
           stats.ingest_batches.fetch_add(1, std::memory_order_relaxed);
           stats.ingest_points.fetch_add(batch_size,
                                         std::memory_order_relaxed);
@@ -1099,8 +828,8 @@ struct SopServer::Impl {
           }
           // Retain every emission for reconnect resume (and replication),
           // keyed by the query's parameters — connection-scoped ids die
-          // with their connection.
-          for (const SessionResult& r : results) {
+          // with their connection — and resolve its subscriber.
+          for (SessionResult& r : results) {
             const OutlierQuery* q = session->FindQuery(r.query_id);
             if (q == nullptr) continue;  // retired mid-batch
             AppendRingLocked(*q, r.boundary, r.degraded, r.outliers);
@@ -1112,6 +841,13 @@ struct SopServer::Impl {
               rec.outliers = r.outliers;
               repl_records.push_back(std::move(rec));
             }
+            const auto sub = subscribers.find(r.query_id);
+            // Already delivered by resume replay: suppress the duplicate.
+            if (sub == subscribers.end() ||
+                r.boundary <= sub->second.suppress_to) {
+              continue;
+            }
+            deliveries.push_back(Delivery{sub->second.conn, std::move(r)});
           }
           if (!options.checkpoint_path.empty() &&
               ++batches_since_checkpoint >=
@@ -1123,16 +859,12 @@ struct SopServer::Impl {
         next_seq = static_cast<uint64_t>(session->next_seq());
       }
 
-      if (!accepted) {
-        SendError(op.conn, "ingest boundary " +
-                               std::to_string(op.msg.boundary) +
-                               " does not advance the stream");
-        IngestAckMsg ack;
-        ack.boundary = op.msg.boundary;
-        ack.accepted = 0;
-        ack.emissions = 0;
-        ack.next_seq = next_seq;
-        EnqueueFrame(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+      IngestAckMsg ack;
+      ack.boundary = op.msg.boundary;
+      ack.next_seq = next_seq;
+      if (!refusal.empty()) {
+        front.Refuse(op.conn, std::move(refusal));
+        front.Send(op.conn, EncodeIngestAck(ack));
         continue;
       }
       SOP_COUNTER_ADD("net/server/ingest_batches", 1);
@@ -1149,12 +881,20 @@ struct SopServer::Impl {
       // Emissions first, then the ack on the same queue: a client that
       // waits for its ack is guaranteed to have this batch's emissions
       // already buffered ahead of it.
-      IngestAckMsg ack;
-      ack.boundary = op.msg.boundary;
+      for (Delivery& d : deliveries) {
+        EmissionMsg m;
+        m.query_id = d.result.query_id;
+        m.boundary = d.result.boundary;
+        m.degraded = d.result.degraded || d.conn->TakeDegraded();
+        m.outliers = std::move(d.result.outliers);
+        if (front.Send(d.conn, EncodeEmission(m), /*droppable=*/true)) {
+          stats.emissions.fetch_add(1, std::memory_order_relaxed);
+          SOP_COUNTER_ADD("net/server/emissions", 1);
+          if (d.conn == op.conn) ++ack.emissions;
+        }
+      }
       ack.accepted = batch_size;
-      ack.emissions = RouteEmissions(results, op.conn);
-      ack.next_seq = next_seq;
-      EnqueueFrame(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+      front.Send(op.conn, EncodeIngestAck(ack));
 
       if (!checkpoint_blob.empty()) {
         PublishCheckpoint(std::move(checkpoint_blob));
@@ -1179,7 +919,7 @@ bool SopServer::Start(std::string* error) {
     return false;
   }
   if (im.options.history_window <= 0 || im.options.max_send_queue == 0 ||
-      im.options.max_ingest_queue == 0 || im.options.num_threads <= 0 ||
+      im.options.max_ingest_queue == 0 ||
       im.options.checkpoint_every_batches <= 0 ||
       im.options.checkpoint_generations < 1 ||
       im.options.resume_ring == 0 || im.options.max_repl_queue == 0 ||
@@ -1266,15 +1006,10 @@ bool SopServer::Start(std::string* error) {
     // No restorable generation is not fatal: serve fresh.
   }
 
-  int bound_port = 0;
-  im.listener = ListenTcp(im.options.host, im.options.port, /*backlog=*/64,
-                          &bound_port, error);
-  if (!im.listener.valid()) return false;
-  port_ = bound_port;
+  if (!im.front.Start(error)) return false;
+  port_ = im.front.port();
 
-  im.pool = std::make_unique<ThreadPool>(im.options.num_threads);
-  im.detect_done = im.pool->Submit([&im] { im.DetectLoop(); });
-  im.accept_thread = std::thread([&im] { im.AcceptLoop(); });
+  im.detect_thread = std::thread([&im] { im.DetectLoop(); });
   if (replicate) {
     im.repl_thread = std::thread([&im] { im.ReplLoop(); });
   }
@@ -1286,37 +1021,15 @@ void SopServer::Stop() {
   Impl& im = *impl_;
   if (!im.started || im.stopped) return;
   im.stopped = true;
-  im.stopping.store(true, std::memory_order_relaxed);
 
-  // Stop accepting new connections.
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    conns = im.conns;
-  }
-
-  // Graceful drain, in dependency order. 1) Shut the read side of every
-  // connection: readers wake with an orderly EOF and exit without closing
-  // the socket, so queued outbound frames survive.
-  for (const std::shared_ptr<Conn>& conn : conns) conn->sock.ShutdownRead();
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-    im.ingest_cv_pop.notify_all();  // readers blocked on a full queue exit
-  }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  // Graceful drain, in dependency order. 1) Stop accepting and reading:
+  // readers exit without closing their connections, so queued outbound
+  // frames survive; readers blocked on a full ingest queue are released.
+  im.front.StopReading([&im] { im.StopIngest(); });
 
   // 2) No producers left: the detection loop drains the ingest queue and
   // exits, enqueueing the final acks/emissions.
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-  }
-  if (im.detect_done.valid()) im.detect_done.get();
+  if (im.detect_thread.joinable()) im.detect_thread.join();
 
   // 3) Flush replication: the standby gets every batch up to the stop
   // point (bounded by its own liveness — a dead standby does not wedge
@@ -1329,35 +1042,9 @@ void SopServer::Stop() {
     im.repl_thread.join();
   }
 
-  // 4) Let writers drain their send queues, then exit via `closing`. A
-  // peer that refuses to read its socket cannot hold shutdown hostage:
-  // past the deadline its connection is aborted.
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->closing = true;
-    conn->cv_push.notify_all();
-    conn->cv_pop.notify_all();
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv_done.wait_until(lock, deadline, [&] {
-        return conn->writer_done.load(std::memory_order_acquire);
-      });
-    }
-    if (!conn->writer_done.load(std::memory_order_acquire)) {
-      conn->sock.ShutdownBoth();
-    }
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    im.conns.clear();
-  }
-  im.pool.reset();
-  im.listener.Close();
+  // 4) Let writers drain their send queues (bounded: a peer that refuses
+  // to read is cut off).
+  im.front.DrainWriters();
 
   // 5) Final checkpoint: a restart resumes from the exact stop point.
   if (!im.options.checkpoint_path.empty() && im.session != nullptr) {
@@ -1374,20 +1061,8 @@ void SopServer::Kill() {
 
   // Abort everything: sockets die mid-frame, queued work is dropped, no
   // final checkpoint — exactly what a crashed process leaves behind.
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    conns = im.conns;
-  }
-  for (const std::shared_ptr<Conn>& conn : conns) im.CloseConn(conn);
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-    im.ingest_cv_pop.notify_all();
-  }
-  if (im.detect_done.valid()) im.detect_done.get();
+  im.front.Abort([&im] { im.StopIngest(); });
+  if (im.detect_thread.joinable()) im.detect_thread.join();
   if (im.repl_thread.joinable()) {
     {
       std::lock_guard<std::mutex> lock(im.repl_mu);
@@ -1395,16 +1070,6 @@ void SopServer::Kill() {
     }
     im.repl_thread.join();
   }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    im.conns.clear();
-  }
-  im.pool.reset();
-  im.listener.Close();
 }
 
 ServerRole SopServer::role() const { return impl_->RoleNow(); }
@@ -1412,24 +1077,16 @@ ServerRole SopServer::role() const { return impl_->RoleNow(); }
 ServerStats SopServer::stats() const {
   const Impl::AtomicStats& a = impl_->stats;
   ServerStats s;
-  s.connections = a.connections.load(std::memory_order_relaxed);
-  s.active_clients = a.active_clients.load(std::memory_order_relaxed);
-  s.frames_in = a.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = a.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = a.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = a.bytes_out.load(std::memory_order_relaxed);
+  static_cast<FrontStats&>(s) = impl_->front.stats();
   s.ingest_batches = a.ingest_batches.load(std::memory_order_relaxed);
   s.ingest_points = a.ingest_points.load(std::memory_order_relaxed);
   s.halo_points = a.halo_points.load(std::memory_order_relaxed);
   s.emissions = a.emissions.load(std::memory_order_relaxed);
-  s.shed_emissions = a.shed_emissions.load(std::memory_order_relaxed);
   s.subscribes = a.subscribes.load(std::memory_order_relaxed);
   s.unsubscribes = a.unsubscribes.load(std::memory_order_relaxed);
-  s.protocol_errors = a.protocol_errors.load(std::memory_order_relaxed);
   s.checkpoints = a.checkpoints.load(std::memory_order_relaxed);
   s.checkpoint_failures =
       a.checkpoint_failures.load(std::memory_order_relaxed);
-  s.idle_disconnects = a.idle_disconnects.load(std::memory_order_relaxed);
   s.promotions = a.promotions.load(std::memory_order_relaxed);
   s.repl_snapshots_sent =
       a.repl_snapshots_sent.load(std::memory_order_relaxed);

@@ -46,23 +46,26 @@
 // once. When the ring no longer reaches back far enough, the ack carries
 // `gap` and the next live emission is flagged degraded instead of lying.
 //
-// Threading: one accept thread, one reader and one writer thread per
-// connection, an optional replication thread, and a single detection loop
-// hosted on the server's ThreadPool (common/thread_pool.h) that serializes
-// every session operation — boundaries are global, so detection is
-// sequential by design and everything else is I/O. Readers hand ingest
+// Threading: the connection front (net/front.h) runs one accept thread
+// and one reader and one writer thread per connection; the server adds an
+// optional replication thread and a single detection thread that
+// serializes every session operation — boundaries are global, so detection
+// is sequential by design and everything else is I/O. Readers hand ingest
 // batches to the detection loop through a bounded queue (backpressure
 // propagates to the client's TCP stream); emission delivery goes through
-// bounded per-client send queues governed by the engine's overload
-// policies (detector/engine.h): kBlock applies backpressure to the
+// the front's bounded per-client send queues governed by the engine's
+// overload policies (detector/engine.h): kBlock applies backpressure to the
 // detection loop, kDropOldest sheds the oldest queued emission and flags
 // the subscriber's next emission `degraded` so the gap is visible. Control
 // replies (acks, errors) are never shed.
 //
 // Resilience: socket reads/writes ride out injected transient faults with
 // bounded backoff (net/socket.h); malformed frames poison only their own
-// connection (counted, never the process); a reader that stalls mid-frame
-// past `idle_timeout_ms` is disconnected (slow-loris defense) while
+// connection (counted, never the process); a batch that would break the
+// stream's shape (StreamShape: dimensionality, empty or non-finite values,
+// regressing times) is refused like a stale boundary, with an error and an
+// accepted == 0 ack; a reader that stalls mid-frame past
+// `idle_timeout_ms` is disconnected (slow-loris defense) while
 // quiet-but-healthy subscribers are left alone. With a checkpoint path
 // configured the server periodically saves a full snapshot — session state
 // plus resume ring, as one kReplSnapshot frame — keeping the last
@@ -85,6 +88,7 @@
 
 #include "sop/common/distance.h"
 #include "sop/detector/engine.h"
+#include "sop/net/front.h"
 #include "sop/net/protocol.h"
 #include "sop/net/socket.h"
 #include "sop/query/plan.h"
@@ -171,27 +175,18 @@ struct ServerOptions {
   /// out — subscribers legitimately go quiet for hours.
   int idle_timeout_ms = -1;
 
-  /// Worker threads on the server's pool (hosts the detection loop).
-  int num_threads = 1;
-
   /// Backoff schedule for injected transient socket faults.
   NetRetryOptions retry;
 };
 
 /// Monotonic counters since Start(), readable at any time (independent of
-/// the obs layer, which may be compiled out).
-struct ServerStats {
-  uint64_t connections = 0;        // accepted sockets, lifetime
-  uint64_t active_clients = 0;     // currently connected
-  uint64_t frames_in = 0;
-  uint64_t frames_out = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
+/// the obs layer, which may be compiled out): the connection front's
+/// (FrontStats) plus the session's.
+struct ServerStats : FrontStats {
   uint64_t ingest_batches = 0;     // batches advanced through the session
   uint64_t ingest_points = 0;
   uint64_t halo_points = 0;        // of those, halo replicas (owner flag 0)
   uint64_t emissions = 0;          // emission frames enqueued to clients
-  uint64_t shed_emissions = 0;     // emission frames dropped under overload
   uint64_t subscribes = 0;
   uint64_t unsubscribes = 0;
   // How the session realized workload changes (SessionChangeStats): overlay
@@ -200,10 +195,8 @@ struct ServerStats {
   uint64_t basis_extends = 0;
   uint64_t rebuild_changes = 0;
   uint64_t replayed_points = 0;
-  uint64_t protocol_errors = 0;    // malformed frames / messages / plans
   uint64_t checkpoints = 0;        // checkpoint files published
   uint64_t checkpoint_failures = 0;
-  uint64_t idle_disconnects = 0;   // mid-frame stalls timed out
   // --- high availability --------------------------------------------------
   uint64_t promotions = 0;               // standby -> primary transitions
   uint64_t repl_snapshots_sent = 0;      // primary: acked snapshots shipped

@@ -48,12 +48,10 @@ bool SetError(std::string* error, const std::string& what) {
 
 void Socket::ShutdownBoth() {
   if (conn_ != nullptr) conn_->ShutdownBoth();
-  if (listener_ != nullptr) listener_->Shutdown();
 }
 
 void Socket::ShutdownRead() {
   if (conn_ != nullptr) conn_->ShutdownRead();
-  if (listener_ != nullptr) listener_->Shutdown();
 }
 
 void Socket::Close() {
@@ -61,29 +59,6 @@ void Socket::Close() {
     conn_->Close();
     conn_.reset();
   }
-  if (listener_ != nullptr) {
-    listener_->Close();
-    listener_.reset();
-  }
-}
-
-Socket ListenTcp(const std::string& host, int port, int backlog,
-                 int* bound_port, std::string* error) {
-  std::unique_ptr<TransportListener> listener =
-      Transport::Active()->Listen(host, port, backlog, error);
-  if (listener == nullptr) return Socket();
-  if (bound_port != nullptr) *bound_port = listener->port();
-  return Socket(std::move(listener));
-}
-
-Socket AcceptTcp(const Socket& listener, std::string* error) {
-  if (listener.listener() == nullptr) {
-    SetError(error, "accept: not a listening socket");
-    return Socket();
-  }
-  std::unique_ptr<TransportConn> conn = listener.listener()->Accept(error);
-  if (conn == nullptr) return Socket();
-  return Socket(std::move(conn));
 }
 
 Socket ConnectTcp(const std::string& host, int port, std::string* error) {
@@ -95,12 +70,7 @@ Socket ConnectTcp(const std::string& host, int port, std::string* error) {
 
 int64_t RecvSome(const Socket& sock, char* buf, size_t cap,
                  const NetRetryOptions& retry, std::string* error) {
-  if (sock.conn() == nullptr) {
-    SetError(error, "recv: not a connected socket");
-    return -1;
-  }
-  if (!RideOutInjectedFaults(FaultSite::kNetRead, retry, error)) return -1;
-  return sock.conn()->Recv(buf, cap, /*timeout_ms=*/-1, error);
+  return RecvSomeTimeout(sock, buf, cap, /*timeout_ms=*/-1, retry, error);
 }
 
 int64_t RecvSomeTimeout(const Socket& sock, char* buf, size_t cap,

@@ -35,15 +35,14 @@ struct NetRetryOptions {
   int backoff_max_us = 5000;
 };
 
-/// Owning wrapper over one transport endpoint — either an established
-/// connection or a listener. Move-only; closes on destruction.
+/// Owning wrapper over one established transport connection. Move-only;
+/// closes on destruction. (Listening is the connection front's,
+/// net/front.h.)
 class Socket {
  public:
   Socket() = default;
   explicit Socket(std::unique_ptr<TransportConn> conn)
       : conn_(std::move(conn)) {}
-  explicit Socket(std::unique_ptr<TransportListener> listener)
-      : listener_(std::move(listener)) {}
   ~Socket() { Close(); }
 
   Socket(Socket&& other) noexcept = default;
@@ -51,15 +50,12 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  bool valid() const { return conn_ != nullptr || listener_ != nullptr; }
+  bool valid() const { return conn_ != nullptr; }
 
-  /// The underlying endpoints (null when this Socket is the other kind).
   TransportConn* conn() const { return conn_.get(); }
-  TransportListener* listener() const { return listener_.get(); }
 
   /// Both directions — unblocks any thread inside recv/send on this
-  /// connection (the close path readers/writers rely on). On a listener:
-  /// unblocks Accept.
+  /// connection (the close path readers/writers rely on).
   void ShutdownBoth();
   /// The read direction only: the blocked reader wakes with an orderly
   /// EOF while queued outbound bytes still drain — the graceful stop
@@ -69,18 +65,7 @@ class Socket {
 
  private:
   std::unique_ptr<TransportConn> conn_;
-  std::unique_ptr<TransportListener> listener_;
 };
-
-/// Creates a listening socket bound to `host:port` on the active
-/// transport (port 0 picks an ephemeral port; *bound_port reports the
-/// actual one). Returns an invalid Socket with `*error` set on failure.
-Socket ListenTcp(const std::string& host, int port, int backlog,
-                 int* bound_port, std::string* error);
-
-/// Accepts one connection. Returns an invalid Socket on failure (including
-/// the listener being shut down, the normal stop path).
-Socket AcceptTcp(const Socket& listener, std::string* error);
 
 /// Connects to `host:port` on the active transport. Returns an invalid
 /// Socket with `*error` set on failure.

@@ -8,9 +8,10 @@
 // The interface is deliberately the minimal shape socket.h already
 // exposed: stream connections with all-or-nothing sends, partial recvs
 // with an optional deadline, and directional shutdown. The socket.h free
-// functions (ListenTcp/ConnectTcp/RecvSome/SendAll/...) are thin shims
-// over Transport::Active() and keep the fault-injection retry discipline,
-// so both transports see identical injected-fault behavior.
+// functions (ConnectTcp/RecvSome/SendAll/...) are thin shims over
+// Transport::Active() and keep the fault-injection retry discipline,
+// so both transports see identical injected-fault behavior; the
+// connection front (net/front.h) listens through Transport::Active().
 //
 // Arming follows the FaultInjector registry pattern (common/fault.h):
 // process-global, test-only, bracketing every thread that might touch the

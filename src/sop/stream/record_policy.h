@@ -18,11 +18,21 @@
 //                     repair).
 // Quarantines and repairs are counted in the obs registry under
 // resilience/quarantined and resilience/repaired.
+//
+// StreamShape is the same notion of "malformed" for wire ingest, where the
+// only policy is refusal: the serving plane checks every batch against it
+// before the batch reaches a detector, whose column store and stream buffer
+// would abort the process on a violation.
 
 #ifndef SOP_STREAM_RECORD_POLICY_H_
 #define SOP_STREAM_RECORD_POLICY_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
+
+#include "sop/common/point.h"
+#include "sop/stream/window.h"
 
 namespace sop {
 
@@ -59,6 +69,22 @@ inline bool ParseRecordPolicy(const std::string& name, RecordPolicy* out) {
   }
   return true;
 }
+
+/// What every later point of a stream must agree with: the dimensionality
+/// its first point pinned and, for time windows, the newest point's time.
+struct StreamShape {
+  size_t dims = 0;                // 0 until the first point pins it
+  int64_t last_time = INT64_MIN;  // time of the newest point
+
+  /// "" when `batch` may extend the stream; otherwise a diagnostic naming
+  /// the first bad point: an empty value vector, a dimensionality other
+  /// than the stream's, a non-finite coordinate, or (time windows only) a
+  /// time earlier than its predecessor's, within or across batches.
+  std::string Check(const std::vector<Point>& batch, WindowType type) const;
+
+  /// Records an accepted batch.
+  void Extend(const std::vector<Point>& batch);
+};
 
 }  // namespace sop
 

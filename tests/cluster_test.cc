@@ -11,7 +11,10 @@
 //     client's recovery — no lost or duplicated emissions,
 //   * halo admission: a post-freeze subscribe with r > halo is refused
 //     with a diagnostic, not silently degraded,
-//   * stale boundaries and bad queries are refused at the router.
+//   * stale boundaries and bad queries are refused at the router,
+//   * one table of hostile inputs gets the same reply and protocol_errors
+//     count from a server and a router (both serve through net::Front),
+//     bad ingests refused before any worker sees them.
 //
 // All assertions read RouterStats/ServerStats (always-on atomics), never
 // obs counters, so the suite passes identically under -DSOP_NO_OBS.
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +34,7 @@
 #include "sop/cluster/partition.h"
 #include "sop/cluster/router.h"
 #include "sop/common/fault.h"
+#include "sop/common/frame.h"
 #include "sop/common/random.h"
 #include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
@@ -884,7 +889,286 @@ TEST(ClusterTest, StaleBoundaryAndBadQueryAreRefused) {
 
   const RouterStats stats = tc.router->stats();
   EXPECT_EQ(stats.last_boundary, 50);
-  EXPECT_GE(stats.protocol_errors, 0u);
+  // Counted like the single server's refusal: one stale boundary, while
+  // the refused subscription is a negotiation, not a protocol violation.
+  EXPECT_EQ(stats.protocol_errors, 1u);
+}
+
+// --- one connection front, two handlers ----------------------------------
+
+/// A raw wire peer: sends arbitrary bytes and transcribes what comes back.
+struct RawPeer {
+  net::Socket sock;
+  net::FrameDecoder decoder;
+
+  bool Connect(int port) {
+    std::string error;
+    sock = net::ConnectTcp("127.0.0.1", port, &error);
+    return sock.valid();
+  }
+
+  /// Sends `bytes`, then reads until `frames` replies arrived (and, with
+  /// `expect_close`, until the peer closed), or 5 s passed. Returns one
+  /// line per reply — the parts both ends must agree on — plus "EOF".
+  std::string Exchange(const std::string& bytes, size_t frames,
+                       bool expect_close) {
+    std::string error;
+    if (!net::SendAll(sock, bytes, net::NetRetryOptions(), &error)) {
+      return "send failed: " + error;
+    }
+    std::string transcript;
+    size_t seen = 0;
+    char buf[4096];
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      std::string payload;
+      while (seen < frames && decoder.Next(&payload, &error) ==
+                                  net::FrameDecoder::Status::kFrame) {
+        ++seen;
+        transcript += Describe(payload) + "\n";
+      }
+      if (seen == frames && !expect_close) break;
+      const int64_t n = net::RecvSomeTimeout(sock, buf, sizeof(buf), 100,
+                                             net::NetRetryOptions(), &error);
+      if (n == net::kRecvTimedOut) continue;
+      if (n <= 0) {
+        transcript += "EOF\n";
+        break;
+      }
+      decoder.Append(buf, static_cast<size_t>(n));
+    }
+    return transcript;
+  }
+
+  static std::string Describe(const std::string& payload) {
+    net::MsgType type;
+    std::string error;
+    if (!net::PeekType(payload, &type, &error)) return "undecodable";
+    const std::string name = net::MsgTypeName(type);
+    switch (type) {
+      case net::MsgType::kError: {
+        net::ErrorMsg msg;
+        net::DecodeError(payload, &msg, &error);
+        return name + ": " + msg.message;
+      }
+      case net::MsgType::kIngestAck: {
+        IngestAckMsg msg;
+        net::DecodeIngestAck(payload, &msg, &error);
+        return name + " accepted=" + std::to_string(msg.accepted);
+      }
+      case net::MsgType::kUnsubscribeAck: {
+        net::UnsubscribeAckMsg msg;
+        net::DecodeUnsubscribeAck(payload, &msg, &error);
+        return name + " ok=" + std::to_string(msg.ok);
+      }
+      case net::MsgType::kPong: {
+        net::PongMsg msg;
+        net::DecodePong(payload, &msg, &error);
+        return name + " token=" + std::to_string(msg.token);
+      }
+      default:
+        return name;
+    }
+  }
+};
+
+/// One hostile or edge input and the reply every front must give.
+struct FrontCase {
+  std::string name;
+  // Built per run: the bytes may depend on the deployment's stream.
+  std::function<std::string()> bytes;
+  size_t replies;      // frames expected back
+  bool closes;         // the front drops the connection afterwards
+  uint64_t refusals;   // protocol_errors delta
+};
+
+/// Drives every FrontCase against one deployment (a single server or a
+/// router over workers), interleaved with a valid client's stream, and
+/// returns the transcripts by case name.
+std::map<std::string, std::string> RunFrontCases(
+    int port, const std::function<uint64_t()>& protocol_errors,
+    const std::string& label) {
+  std::map<std::string, std::string> transcripts;
+  std::string error;
+  SopClient client;
+  EXPECT_TRUE(client.Connect("127.0.0.1", port, &error)) << label << error;
+  const int64_t qid = client.Subscribe(OutlierQuery(1.5, 4, 100, 50), &error);
+  EXPECT_GT(qid, 0) << label << ": " << error;
+  const std::vector<Batch> batches =
+      SliceTime(GenPoints(1000, /*time_windows=*/true, /*seed=*/17), 50);
+  size_t next = 0;
+  int64_t last_time = 0;
+  auto ingest_next = [&] {
+    IngestAckMsg ack;
+    const Batch& b = batches[next++];
+    ASSERT_TRUE(client.Ingest(b.boundary, b.points, &ack, &error))
+        << label << ": " << error;
+    EXPECT_EQ(ack.accepted, b.points.size()) << label << " @" << b.boundary;
+    if (!b.points.empty()) last_time = b.points.back().time;
+  };
+  ingest_next();  // pins the stream: 1-d points, times up to last_time
+
+  // A batch at the next unused boundary, so only its points can be wrong.
+  auto bad_ingest = [&](std::vector<Point> points) {
+    net::IngestMsg msg;
+    msg.boundary = batches[next].boundary;
+    msg.points = std::move(points);
+    return net::EncodeIngest(msg);
+  };
+  const std::vector<FrontCase> cases = {
+      {"wrong-version hello",
+       [] {
+         net::HelloMsg hello;
+         hello.protocol_version = net::kProtocolVersion + 1;
+         return net::EncodeHello(hello);
+       },
+       1, true, 1},
+      {"bit-flipped frame",
+       [] {
+         std::string frame = net::EncodeSubscribe(net::SubscribeMsg{});
+         frame[frame.size() - 3] ^= 0x20;
+         return frame;
+       },
+       1, true, 1},
+      {"oversize header",
+       [] {
+         std::string frame = net::EncodePing(net::PingMsg{});
+         const uint64_t length = net::kMaxFramePayload + 1;
+         for (int i = 0; i < 8; ++i) {
+           frame[8 + i] = static_cast<char>((length >> (8 * i)) & 0xff);
+         }
+         return frame.substr(0, kFrameHeaderBytes);
+       },
+       1, true, 1},
+      {"server-push type", [] { return net::EncodeEmission({}); }, 1, false,
+       1},
+      {"unsubscribe another connection's query",
+       [&] {
+         net::UnsubscribeMsg unsub;
+         unsub.query_id = qid;
+         return net::EncodeUnsubscribe(unsub);
+       },
+       1, false, 0},
+      {"ping",
+       [] {
+         net::PingMsg ping;
+         ping.token = 77;
+         return net::EncodePing(ping);
+       },
+       1, false, 0},
+      {"ingest: wrong dimensionality",
+       [&] { return bad_ingest({Point(0, last_time + 1, {0.5, 0.5})}); }, 2,
+       false, 1},
+      {"ingest: empty values",
+       [&] { return bad_ingest({Point(0, last_time + 1, {})}); }, 2, false,
+       1},
+      {"ingest: non-finite coordinate",
+       [&] {
+         return bad_ingest(
+             {Point(0, last_time + 1, {std::numeric_limits<double>::quiet_NaN()})});
+       },
+       2, false, 1},
+      {"ingest: time regresses across batches",
+       [&] { return bad_ingest({Point(0, last_time - 1, {0.5})}); }, 2, false,
+       1},
+      {"ingest: time regresses within a batch",
+       [&] {
+         return bad_ingest({Point(0, last_time + 2, {0.5}),
+                            Point(1, last_time + 1, {0.5})});
+       },
+       2, false, 1},
+  };
+  for (const FrontCase& c : cases) {
+    RawPeer peer;
+    EXPECT_TRUE(peer.Connect(port)) << label << ": " << c.name;
+    const uint64_t before = protocol_errors();
+    transcripts[c.name] = peer.Exchange(c.bytes(), c.replies, c.closes);
+    EXPECT_EQ(protocol_errors() - before, c.refusals) << label << ": " << c.name;
+    // Whatever the hostile peer did, a valid client is still served.
+    ingest_next();
+  }
+  return transcripts;
+}
+
+// The server and the router serve clients through the same net::Front, so
+// hostile and edge inputs get the same reply and the same protocol_errors
+// count from both — and neither process (nor any router worker) dies.
+TEST(FrontConformance, ServerAndRouterAnswerAlike) {
+  ServerOptions so;
+  so.window_type = WindowType::kTime;
+  SopServer server(so);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const std::map<std::string, std::string> from_server = RunFrontCases(
+      server.port(), [&] { return server.stats().protocol_errors; },
+      "server");
+
+  TestCluster tc;
+  ASSERT_TRUE(StartCluster(&tc, 2, "sop", WindowType::kTime, &error))
+      << error;
+  const std::map<std::string, std::string> from_router = RunFrontCases(
+      tc.router->port(), [&] { return tc.router->stats().protocol_errors; },
+      "router");
+
+  ASSERT_EQ(from_server.size(), from_router.size());
+  for (const auto& [name, transcript] : from_server) {
+    EXPECT_EQ(transcript, from_router.at(name)) << name;
+    EXPECT_FALSE(transcript.empty()) << name;
+  }
+  // Refusals that drop the connection still deliver their diagnostic.
+  EXPECT_EQ(from_server.at("wrong-version hello"),
+            "error: protocol version mismatch: server speaks v" +
+                std::to_string(net::kProtocolVersion) + "\nEOF\n");
+  // The bad ingests were refused with accepted == 0 before any detector
+  // saw them; at the router, before any worker did.
+  for (const char* name :
+       {"ingest: wrong dimensionality", "ingest: empty values",
+        "ingest: non-finite coordinate", "ingest: time regresses across batches",
+        "ingest: time regresses within a batch"}) {
+    EXPECT_NE(from_server.at(name).find("ingest-ack accepted=0"),
+              std::string::npos)
+        << name << ": " << from_server.at(name);
+  }
+  for (const std::unique_ptr<SopServer>& w : tc.workers) {
+    EXPECT_EQ(w->stats().protocol_errors, 0u);
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().ingest_batches,
+            tc.router->stats().ingest_batches);
+}
+
+// Stop() drains like the single server's: every batch the router took
+// before the stop is acked on the wire before the connection closes.
+TEST(ClusterTest, StopFlushesQueuedAcks) {
+  TestCluster tc;
+  std::string error;
+  ASSERT_TRUE(StartCluster(&tc, 2, "sop", WindowType::kCount, &error))
+      << error;
+  RawPeer peer;
+  ASSERT_TRUE(peer.Connect(tc.router->port()));
+  // Pipelined batches, replies unread: the route loop has a backlog.
+  std::string bytes;
+  for (const Batch& b : SliceCount(GenPoints(2000, false, /*seed=*/5), 50)) {
+    net::IngestMsg msg;
+    msg.boundary = b.boundary;
+    msg.points = b.points;
+    bytes += net::EncodeIngest(msg);
+  }
+  std::thread stopper([&] {
+    EXPECT_TRUE(WaitUntil(
+        [&] { return tc.router->stats().ingest_batches >= 1; }));
+    tc.router->Stop();
+  });
+  const std::string transcript = peer.Exchange(bytes, 1000, true);
+  stopper.join();
+  size_t acks = 0;
+  for (size_t at = transcript.find("ingest-ack"); at != std::string::npos;
+       at = transcript.find("ingest-ack", at + 1)) {
+    ++acks;
+  }
+  EXPECT_EQ(acks, tc.router->stats().ingest_batches);
+  EXPECT_NE(transcript.find("EOF"), std::string::npos);
 }
 
 }  // namespace

@@ -562,6 +562,53 @@ TEST(NetTest, CheckpointedRestartResumesTheStream) {
   }
 }
 
+// The stream's shape (dimensionality, newest time) lives in session state,
+// so a server restored from a checkpoint refuses exactly what the original
+// would — even once every point has aged out of the retained history.
+TEST(NetTest, RestoredServerKeepsTheStreamShape) {
+  const std::string path = ::testing::TempDir() + "sop_net_shape.checkpoint";
+  std::remove(path.c_str());
+  ServerOptions options;
+  options.window_type = WindowType::kTime;
+  options.history_window = 20;
+  options.checkpoint_path = path;
+  std::string error;
+  IngestAckMsg ack;
+  {
+    SopServer server(options);
+    ASSERT_TRUE(server.Start(&error)) << error;
+    SopClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    ASSERT_TRUE(client.Ingest(10, {Point(0, 5, {1.0, 2.0})}, &ack, &error))
+        << error;
+    ASSERT_EQ(ack.accepted, 1u);
+    // Empty batches push the point out of the retained history.
+    ASSERT_TRUE(client.Ingest(100, {}, &ack, &error)) << error;
+    server.Stop();
+  }
+  SopServer server(options);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ASSERT_TRUE(server.stats().resumed);
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  const std::vector<std::vector<Point>> refused = {
+      {Point(0, 150, {1.0})},         // the stream is 2-d
+      {Point(0, 150, {})},            // no values at all
+      {Point(0, 4, {1.0, 2.0})},      // before the newest time, 5
+  };
+  for (const std::vector<Point>& points : refused) {
+    ASSERT_TRUE(client.Ingest(200, points, &ack, &error)) << error;
+    EXPECT_EQ(ack.accepted, 0u);
+    EXPECT_EQ(client.TakeErrors().size(), 1u);
+  }
+  ASSERT_TRUE(client.Ingest(200, {Point(0, 150, {1.0, 2.0})}, &ack, &error))
+      << error;
+  EXPECT_EQ(ack.accepted, 1u);
+  server.Stop();
+  EXPECT_EQ(server.stats().protocol_errors, refused.size());
+  std::remove(path.c_str());
+}
+
 // --- refusal paths -------------------------------------------------------
 
 TEST(NetTest, UnknownDetectorRefusedAtStart) {

@@ -910,11 +910,18 @@ TEST(SimTest, ReplAckTimeoutResyncsOnVirtualClock) {
   // snapshot resync below proves the deadline ran on the virtual clock.
   // (A healthy chain never ships a snapshot: the first batch starts it
   // from scratch, so snapshots_sent > 0 IS the timeout firing.)
+  // Time moves only until the primary reconnects: advancing it further
+  // would also expire the fresh link's ack deadline whenever the standby
+  // answers slower than the loop spins (sanitizer builds), and the primary
+  // would redial forever.
   sim.Heal(standby.port());
+  const uint64_t connects = sim.stats().connects;
   ASSERT_TRUE(YieldUntil([&] {
     sim.AdvanceMillis(500);
-    return primary.stats().repl_snapshots_sent >= 1;
+    return sim.stats().connects > connects;
   }));
+  ASSERT_TRUE(YieldUntil(
+      [&] { return primary.stats().repl_snapshots_sent >= 1; }));
   // The fresh snapshot carries the swallowed batch.
   ASSERT_TRUE(YieldUntil([&] {
     return standby.stats().last_boundary == batches[1].boundary;
