@@ -1,5 +1,6 @@
 // google-benchmark micro-benchmarks of the SOP core primitives: LSky
-// operations, the K-SKY scan, plan compilation, and distance kernels.
+// operations, the K-SKY scan, stream-buffer point loads, plan compilation,
+// and distance kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -96,6 +97,30 @@ BENCHMARK(BM_KSkyFromScratch)
     ->Args({10000, 0})
     ->Args({50000, 1})
     ->Args({50000, 0});
+
+// StreamBuffer::Load over a full window into one reused scratch Point:
+// the per-point cost every detector pays to materialize the point it
+// evaluates from the columns (allocation-free once the scratch is warm).
+void BM_StreamBufferLoad(benchmark::State& state) {
+  const int64_t window = state.range(0);
+  gen::SyntheticOptions options;
+  options.seed = 5;
+  StreamBuffer buffer(WindowType::kCount);
+  Seq s = 0;
+  for (Point p : gen::GenerateSynthetic(window, options)) {
+    p.seq = s++;
+    buffer.Append(std::move(p));
+  }
+  Point scratch;
+  for (auto _ : state) {
+    for (Seq t = buffer.first_seq(); t < buffer.next_seq(); ++t) {
+      buffer.Load(t, &scratch);
+      benchmark::DoNotOptimize(scratch.values.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * window);
+}
+BENCHMARK(BM_StreamBufferLoad)->Arg(10000);
 
 void BM_PlanCompile(benchmark::State& state) {
   const size_t queries = static_cast<size_t>(state.range(0));

@@ -7,9 +7,9 @@
 // grid yields a candidate superset, and each configuration confirms the
 // true r-neighborhood over the identical candidates:
 //
-//   perpair  the pre-kernel code shape: StreamBuffer::At + one
+//   perpair  the pre-kernel code shape: a row lookup + one
 //            DistanceFn::operator() call per candidate;
-//   scalar   DistanceKernel::PartitionWithinR over the columnar mirror,
+//   scalar   DistanceKernel::PartitionWithinR over the column store,
 //            portable tight-loop backend;
 //   avx2     the same kernel with the AVX2 backend (skipped when the CPU
 //            or build lacks it).
@@ -31,11 +31,11 @@
 #include <vector>
 
 #include "figure.h"
+#include "sop/common/column_store.h"
 #include "sop/common/dist_kernel.h"
 #include "sop/common/distance.h"
 #include "sop/gen/synthetic.h"
 #include "sop/index/grid.h"
-#include "sop/stream/stream_buffer.h"
 
 namespace sop {
 namespace {
@@ -94,14 +94,13 @@ int main() {
   const DistanceFn dist(Metric::kEuclidean);
   DistanceKernel kernel = dist.MakeKernel();
   GridIndex grid(dist, cell_size);
-  StreamBuffer buffer(WindowType::kCount);
+  ColumnStore cols;
   for (int64_t s = 0; s < window; ++s) {
     Point p = points[static_cast<size_t>(s)];
     p.seq = s;  // the generator leaves seq assignment to the driver
-    buffer.Append(std::move(p));
-    grid.Insert(s, buffer.At(s));
+    cols.Append(p);
+    grid.Insert(s, p);
   }
-  const ColumnStore& cols = buffer.columns();
   const Point* probes = points.data() + window;
 
   std::printf("micro_kernel: grid candidate confirmation, per-pair vs "
@@ -144,7 +143,7 @@ int main() {
         reps, num_probes, [&](size_t i, Outcome* out) {
           const Point& p = probes[i];
           for (const Seq s : candidates[i]) {
-            const double d = dist(p, buffer.At(s));
+            const double d = dist(p, points[static_cast<size_t>(s)]);
             if (d <= r) {
               ++out->hits;
               out->dist_sum += d;

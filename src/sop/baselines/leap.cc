@@ -38,13 +38,9 @@ LeapDetector::LeapDetector(const Workload& workload)
 
 std::vector<QueryResult> LeapDetector::Advance(std::vector<Point> batch,
                                                int64_t boundary) {
-  if (!received_any_ && !batch.empty()) {
-    // Streams resumed from a checkpoint replay start mid-sequence.
-    buffer_.ResetTo(batch.front().seq);
-    received_any_ = true;
-  }
-  const Seq first_new_seq = buffer_.next_seq();
+  // The buffer re-bases on a mid-stream first batch (a resumed run).
   for (Point& p : batch) buffer_.Append(std::move(p));
+  const Seq first_new_seq = buffer_.next_seq() - static_cast<Seq>(batch.size());
   buffer_.ExpireBefore(WindowStart(boundary, win_max_));
 
   std::vector<QueryResult> results;
@@ -127,7 +123,8 @@ bool LeapDetector::EvaluatePoint(QueryState& qs, Seq s, Seq window_begin,
     e.pred_keys.pop_back();
   }
   int64_t total = e.succ_count + static_cast<int64_t>(e.pred_keys.size());
-  const Point& p = buffer_.At(s);
+  buffer_.Load(s, &probe_point_);
+  const Point& p = probe_point_;
   const double r = qs.query.r;
   // Probe the new (succeeding) side first — lifespan-aware prioritization:
   // succeeding evidence never expires while p is alive. Distances come

@@ -76,7 +76,6 @@ class LeapDetector : public OutlierDetector {
   Workload workload_;
   StreamBuffer buffer_;
   int64_t win_max_ = 0;
-  bool received_any_ = false;  // buffer rebased to the first batch's seq
   std::vector<QueryState> states_;
   Stats stats_;
   Stats obs_reported_;  // stats_ values already published to obs counters
@@ -90,6 +89,7 @@ class LeapDetector : public OutlierDetector {
   uint64_t reported_kernel_candidates_ = 0;
   uint64_t reported_kernel_hits_ = 0;
   std::vector<double> probe_dists_;  // per-block kernel output
+  Point probe_point_;  // buffer_.Load target, reused across points
   size_t last_results_bytes_ = 0;
 };
 

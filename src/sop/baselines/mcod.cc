@@ -67,7 +67,8 @@ McodDetector::McodDetector(const Workload& workload, Options options)
 }
 
 void McodDetector::InsertPoint(Seq s) {
-  const Point& p = buffer_.At(s);
+  buffer_.Load(s, &scratch_point_);
+  const Point& p = scratch_point_;
   const int64_t p_key = buffer_.KeyOf(s);
   PointState& ps = StateOf(s);
 
@@ -164,16 +165,11 @@ void McodDetector::InsertPoint(Seq s) {
 
 std::vector<QueryResult> McodDetector::Advance(std::vector<Point> batch,
                                                int64_t boundary) {
-  if (!received_any_ && !batch.empty()) {
-    // Streams resumed from a checkpoint replay start mid-sequence.
-    buffer_.ResetTo(batch.front().seq);
-    received_any_ = true;
-  }
-  const Seq first_new_seq = buffer_.next_seq();
   for (Point& p : batch) {
-    buffer_.Append(std::move(p));
+    buffer_.Append(std::move(p));  // re-bases on a mid-stream first batch
     states_.emplace_back();
   }
+  const Seq first_new_seq = buffer_.next_seq() - static_cast<Seq>(batch.size());
   const int64_t swift_start = WindowStart(boundary, win_max_);
   if (grid_ != nullptr) {
     // Un-index expiring points while their coordinates are still alive.
@@ -182,7 +178,8 @@ std::vector<QueryResult> McodDetector::Advance(std::vector<Point> batch,
     const Seq expire_end =
         std::min(buffer_.LowerBoundKey(swift_start), first_new_seq);
     for (Seq s = buffer_.first_seq(); s < expire_end; ++s) {
-      grid_->Remove(s, buffer_.At(s));
+      buffer_.Load(s, &scratch_point_);
+      grid_->Remove(s, scratch_point_);
     }
   }
   const size_t dropped = buffer_.ExpireBefore(swift_start);

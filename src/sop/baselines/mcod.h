@@ -121,12 +121,12 @@ class McodDetector : public OutlierDetector {
   double r_max_ = 0.0;
   int64_t k_max_ = 0;
   int64_t win_max_ = 0;
-  bool received_any_ = false;  // buffer rebased to the first batch's seq
   size_t last_results_bytes_ = 0;
   std::vector<Seq> scratch_close_;  // unclustered points within r_min/2
   std::vector<Seq> scratch_seqs_;   // raw grid candidate superset
   std::vector<double> scratch_dists_;  // kernel output, parallel to seqs
   std::vector<std::pair<Seq, double>> scratch_candidates_;  // confirmed hits
+  Point scratch_point_;  // buffer_.Load target, reused across points
 };
 
 }  // namespace sop

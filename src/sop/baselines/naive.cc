@@ -21,16 +21,13 @@ NaiveDetector::NaiveDetector(const Workload& workload)
 
 std::vector<QueryResult> NaiveDetector::Advance(std::vector<Point> batch,
                                                 int64_t boundary) {
-  if (!received_any_ && !batch.empty()) {
-    // Streams resumed from a checkpoint replay start mid-sequence.
-    buffer_.ResetTo(batch.front().seq);
-    received_any_ = true;
-  }
   for (Point& p : batch) buffer_.Append(std::move(p));
   buffer_.ExpireBefore(WindowStart(boundary, win_max_));
 
   std::vector<QueryResult> results;
   last_results_bytes_ = 0;
+  Point point_s;  // scratch rows, reused across every pair
+  Point point_t;
   for (size_t qi = 0; qi < workload_.num_queries(); ++qi) {
     const OutlierQuery& q = workload_.query(qi);
     if (!EmitsAt(boundary, q.slide)) continue;
@@ -41,11 +38,12 @@ std::vector<QueryResult> NaiveDetector::Advance(std::vector<Point> batch,
     result.query_index = qi;
     result.boundary = boundary;
     for (Seq s = window_begin; s < buffer_.next_seq(); ++s) {
-      const Point& p = buffer_.At(s);
+      buffer_.Load(s, &point_s);
       int64_t neighbors = 0;
       for (Seq t = window_begin; t < buffer_.next_seq(); ++t) {
         if (t == s) continue;
-        if (dist(p, buffer_.At(t)) <= q.r && ++neighbors >= q.k) break;
+        buffer_.Load(t, &point_t);
+        if (dist(point_s, point_t) <= q.r && ++neighbors >= q.k) break;
       }
       if (neighbors < q.k) result.outliers.push_back(s);
     }

@@ -32,7 +32,6 @@ class NaiveDetector : public OutlierDetector {
   std::vector<DistanceFn> query_dist_;  // per query
   StreamBuffer buffer_;
   int64_t win_max_ = 0;
-  bool received_any_ = false;  // buffer rebased to the first batch's seq
   size_t last_results_bytes_ = 0;
 };
 

@@ -1,11 +1,10 @@
-// Columnar (structure-of-arrays) mirror of the alive window.
+// Columnar (structure-of-arrays) store of a contiguous run of points.
 //
-// Every detector's inner loop confirms grid candidates with a distance
-// computation, and row-major Points — each attribute vector a separate heap
-// allocation — make that loop a chain of dependent cache misses. The
-// ColumnStore keeps one contiguous double array per attribute (plus seq and
-// time columns) for exactly the alive points, so a batched kernel
-// (dist_kernel.h) can stream through candidates with dense loads.
+// The only copy of point data: StreamBuffer (a detector's sliding window)
+// and SopSession's retained history are each a ColumnStore plus
+// bookkeeping. One contiguous array per attribute, plus a time column,
+// lets the batch kernel (dist_kernel.h) stream through candidates with
+// dense loads; code that needs a whole point copies it out with Load.
 //
 // Layout. A power-of-two ring: the slot of an alive point is
 // `seq & (capacity - 1)`. Alive sequence numbers always form one
@@ -13,8 +12,7 @@
 // never collide, expiry (PopFront) frees slots implicitly, and a slot
 // stays put for a point's whole lifetime — until a capacity growth, which
 // doubles the ring and re-scatters (append-amortized, and no caller holds
-// slots across mutations). Columns are synchronized by StreamBuffer; the
-// kernel resolves seqs to slots per batch.
+// slots across mutations). The kernel resolves seqs to slots per batch.
 //
 // The store fixes its dimensionality at the first Append; every subsequent
 // point must have the same number of attributes (detectors already require
@@ -32,8 +30,8 @@
 
 namespace sop {
 
-/// SoA store of the alive points, addressed by sequence number. Mutations
-/// mirror StreamBuffer's exactly; not thread-safe.
+/// SoA store of the alive points, addressed by sequence number. Not
+/// thread-safe.
 class ColumnStore {
  public:
   ColumnStore() = default;
@@ -62,8 +60,19 @@ class ColumnStore {
     SOP_DCHECK(d < dims_);
     return cols_[d].data();
   }
-  const Seq* seq_column() const { return seqs_.data(); }
-  const Timestamp* time_column() const { return times_.data(); }
+
+  /// Time of alive point `seq`.
+  Timestamp TimeOf(Seq seq) const { return times_[SlotOf(seq)]; }
+
+  /// Copies alive point `seq` into `*out`, reusing the capacity of
+  /// `out->values` (no allocation once it has held `num_dims()` values).
+  void Load(Seq seq, Point* out) const {
+    const size_t slot = SlotOf(seq);
+    out->seq = seq;
+    out->time = times_[slot];
+    out->values.resize(dims_);
+    for (size_t d = 0; d < dims_; ++d) out->values[d] = cols_[d][slot];
+  }
 
   /// Appends `p`; its seq must equal next_seq().
   void Append(const Point& p);
@@ -81,12 +90,10 @@ class ColumnStore {
   void Grow();
 
   size_t dims_ = 0;
-  bool dims_set_ = false;
   Seq first_seq_ = 0;
   size_t size_ = 0;
   size_t mask_ = 0;  // capacity - 1; 0 also means "not yet allocated"
   std::vector<std::vector<double>> cols_;  // [dim][slot]
-  std::vector<Seq> seqs_;                  // [slot]
   std::vector<Timestamp> times_;           // [slot]
 };
 

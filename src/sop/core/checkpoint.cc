@@ -14,6 +14,7 @@
 #include "sop/common/frame.h"
 #include "sop/common/serialize.h"
 #include "sop/core/sop_detector.h"
+#include "sop/stream/record_policy.h"
 
 namespace sop {
 
@@ -60,8 +61,9 @@ std::string SopDetector::SaveState() const {
   // Alive points.
   w.WriteI64(buffer_.first_seq());
   w.WriteU64(buffer_.size());
+  Point p;
   for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
-    const Point& p = buffer_.At(s);
+    buffer_.Load(s, &p);
     w.WriteI64(p.time);
     w.WriteU32(static_cast<uint32_t>(p.values.size()));
     for (const double v : p.values) w.WriteDouble(v);
@@ -156,7 +158,7 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
     return LoadError(error, "bad window header");
   }
   buffer_.ResetTo(first_seq);
-  received_any_ = true;
+  std::vector<Point> window;
   for (uint64_t i = 0; i < count; ++i) {
     Point p;
     p.seq = first_seq + static_cast<Seq>(i);
@@ -164,12 +166,20 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
     if (!r.ReadI64(&p.time) || !r.ReadU32(&dims)) {
       return LoadError(error, "truncated point");
     }
-    p.values.resize(dims);
-    for (double& v : p.values) {
+    // Read per value rather than resizing to `dims` up front: a corrupt
+    // count fails at the first missing byte instead of allocating.
+    for (uint32_t d = 0; d < dims; ++d) {
+      double v = 0.0;
       if (!r.ReadDouble(&v)) return LoadError(error, "truncated point");
+      p.values.push_back(v);
     }
-    buffer_.Append(std::move(p));
+    window.push_back(std::move(p));
   }
+  // Refuse, as live ingest does, what the buffer would abort on.
+  const std::string bad =
+      StreamShape().Check(window, plan_.workload().window_type());
+  if (!bad.empty()) return LoadError(error, ("window " + bad).c_str());
+  for (Point& p : window) buffer_.Append(std::move(p));
 
   for (uint64_t i = 0; i < count; ++i) {
     PointState st;
@@ -207,7 +217,8 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
   // than serializing it (checkpoints stay index-agnostic).
   if (grid_ != nullptr) {
     for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
-      grid_->Insert(s, buffer_.At(s));
+      buffer_.Load(s, &scratch_point_);
+      grid_->Insert(s, scratch_point_);
     }
   }
   return true;

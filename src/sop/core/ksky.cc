@@ -4,7 +4,6 @@
 
 #include "sop/common/check.h"
 #include "sop/obs/trace.h"
-#include "sop/stream/window.h"
 
 namespace sop {
 
@@ -34,19 +33,10 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   build_.Clear();
   layer1_count_ = 0;
 
-  const WindowType type = buffer.type();
   const ColumnStore& cols = buffer.columns();
   const int num_layers = plan_->num_layers();
   bool keep_scanning = true;
   uint64_t kernel_hits = 0;
-
-  // Window key of alive point `s`, resolved from the columns (the scan
-  // never touches the row Points).
-  auto key_of = [&](Seq s) -> int64_t {
-    return type == WindowType::kCount
-               ? static_cast<int64_t>(s)
-               : cols.time_column()[cols.SlotOf(s)];
-  };
 
   // Consumes one candidate whose distance the kernel already computed:
   // applies Def. 6. Stats count only consumed candidates, exactly as the
@@ -58,7 +48,7 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
     const int32_t layer = plan_->LayerOfDistance(d);
     if (layer > num_layers) return;  // nobody's neighbor (Def. 5 c3)
     ++kernel_hits;
-    keep_scanning = Examine(s, key_of(s), layer);
+    keep_scanning = Examine(s, buffer.KeyOf(s), layer);
   };
 
   // Scans points with seq in [lo, hi) from newest to oldest ("search from

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sop/common/check.h"
@@ -151,12 +152,15 @@ void SopSession::Rebuild() {
   // windows. Replay emissions are internal; the live batch that triggered
   // this change has not joined the history yet, so the caller's results
   // come from its own Advance through the new detector.
-  for (const HistoryBatch& batch : history_) {
+  Seq seq = history_.first_seq();
+  for (const BatchMark& mark : history_marks_) {
+    std::vector<Point> batch(mark.size);
+    for (Point& p : batch) history_.Load(seq++, &p);
     SOP_COUNTER_ADD("session/replayed_batches", 1);
-    SOP_COUNTER_ADD("session/replayed_points", batch.points.size());
+    SOP_COUNTER_ADD("session/replayed_points", batch.size());
     ++change_stats_.replayed_batches;
-    change_stats_.replayed_points += batch.points.size();
-    detector_->Advance(batch.points, batch.boundary);
+    change_stats_.replayed_points += batch.size();
+    detector_->Advance(std::move(batch), mark.boundary);
   }
 }
 
@@ -164,7 +168,8 @@ std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
                                                int64_t boundary) {
   SOP_CHECK_MSG(boundary > last_boundary_, "boundaries must increase");
   last_boundary_ = boundary;
-  for (Point& p : batch) p.seq = next_seq_++;
+  Seq seq = history_.next_seq();
+  for (Point& p : batch) p.seq = seq++;
   shape_.Extend(batch);
 
   // Trim history no future replay can need, then realize any pending
@@ -172,22 +177,24 @@ std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
   // live batch joins the history, so a rebuild replays exactly the
   // pre-change history and the live batch is advanced exactly once — by
   // the post-change detector.
-  while (!history_.empty() &&
-         history_.front().boundary <= boundary - history_window_) {
-    history_.pop_front();
+  while (!history_marks_.empty() &&
+         history_marks_.front().boundary <= boundary - history_window_) {
+    history_.PopFront(history_marks_.front().size);
+    history_marks_.pop_front();
   }
   if (dirty_ || (detector_ == nullptr && !registered_.empty())) {
     ApplyWorkloadChange();
   }
 
-  history_.push_back(HistoryBatch{batch, boundary});
+  for (const Point& p : batch) history_.Append(p);
+  history_marks_.push_back(BatchMark{boundary, batch.size()});
 
   std::vector<QueryResult> raw;
   if (detector_ != nullptr) {
     raw = detector_->Advance(std::move(batch), boundary);
   }
 
-  SOP_GAUGE_SET("session/history_batches", history_.size());
+  SOP_GAUGE_SET("session/history_batches", history_marks_.size());
 
   std::vector<SessionResult> results;
   results.reserve(raw.size());
@@ -225,7 +232,7 @@ std::string SopSession::SaveState() const {
   w.WriteU32(static_cast<uint32_t>(metric_));
   w.WriteI64(history_window_);
   w.WriteI64(next_id_);
-  w.WriteI64(next_seq_);
+  w.WriteI64(history_.next_seq());
   w.WriteI64(last_boundary_);
   w.WriteU64(registered_.size());
   for (const auto& [id, q] : registered_) {
@@ -258,11 +265,14 @@ std::string SopSession::SaveState() const {
   w.WriteU64(shape_.dims);
   w.WriteI64(shape_.last_time);
 
-  w.WriteU64(history_.size());
-  for (const HistoryBatch& b : history_) {
-    w.WriteI64(b.boundary);
-    w.WriteU64(b.points.size());
-    for (const Point& p : b.points) {
+  w.WriteU64(history_marks_.size());
+  Seq seq = history_.first_seq();
+  Point p;
+  for (const BatchMark& mark : history_marks_) {
+    w.WriteI64(mark.boundary);
+    w.WriteU64(mark.size);
+    for (const Seq end = seq + static_cast<Seq>(mark.size); seq < end; ++seq) {
+      history_.Load(seq, &p);
       w.WriteI64(p.seq);
       w.WriteI64(p.time);
       w.WriteU64(p.values.size());
@@ -273,7 +283,7 @@ std::string SopSession::SaveState() const {
 }
 
 bool SopSession::LoadState(std::string_view bytes, std::string* error) {
-  auto fail = [error](const char* what) {
+  auto fail = [error](const std::string& what) {
     if (error != nullptr) *error = std::string("session state: ") + what;
     return false;
   };
@@ -366,20 +376,27 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
     shape.dims = static_cast<size_t>(dims);
   }
 
+  // Every restored batch must pass the check live ingest passes, and the
+  // points must carry the contiguous seqs ending at next_seq: the history
+  // store and each replaying detector would abort on anything else.
   uint64_t num_batches = 0;
   if (!r.ReadU64(&num_batches)) return fail("truncated");
-  std::deque<HistoryBatch> history;
+  ColumnStore history;
+  std::deque<BatchMark> marks;
+  StreamShape replayed;
+  std::vector<Point> batch;
   int64_t prev_boundary = INT64_MIN;
   for (uint64_t i = 0; i < num_batches; ++i) {
-    HistoryBatch b;
+    int64_t boundary = 0;
     uint64_t num_points = 0;
-    if (!r.ReadI64(&b.boundary) || !r.ReadU64(&num_points)) {
+    if (!r.ReadI64(&boundary) || !r.ReadU64(&num_points)) {
       return fail("truncated history");
     }
-    if (b.boundary <= prev_boundary || b.boundary > last_boundary) {
+    if (boundary <= prev_boundary || boundary > last_boundary) {
       return fail("history boundaries out of order");
     }
-    prev_boundary = b.boundary;
+    prev_boundary = boundary;
+    batch.clear();
     for (uint64_t j = 0; j < num_points; ++j) {
       Point p;
       uint64_t dims = 0;
@@ -393,17 +410,37 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
         if (!r.ReadDouble(&v)) return fail("truncated history point");
         p.values.push_back(v);
       }
-      b.points.push_back(std::move(p));
+      batch.push_back(std::move(p));
     }
-    if (!has_shape) shape.Extend(b.points);
-    history.push_back(std::move(b));
+    const std::string bad = replayed.Check(batch, window_type_);
+    if (!bad.empty()) {
+      return fail("history batch " + std::to_string(i) + ", " + bad);
+    }
+    replayed.Extend(batch);
+    for (const Point& p : batch) {
+      if (history.empty() && p.seq >= 0) history.ResetTo(p.seq);
+      if (p.seq != history.next_seq()) return fail("history seqs out of order");
+      history.Append(p);
+    }
+    marks.push_back(BatchMark{boundary, batch.size()});
   }
   if (!r.AtEnd()) return fail("trailing bytes");
+  if (history.empty()) history.ResetTo(next_seq);
+  if (history.next_seq() != next_seq) {
+    return fail("history does not end at the stream position");
+  }
+  if (!has_shape) {
+    shape = replayed;
+  } else if ((replayed.dims != 0 && replayed.dims != shape.dims) ||
+             (window_type_ == WindowType::kTime &&
+              replayed.last_time > shape.last_time)) {
+    return fail("history disagrees with the stream shape");
+  }
 
   registered_ = std::move(restored);
   history_ = std::move(history);
+  history_marks_ = std::move(marks);
   next_id_ = next_id;
-  next_seq_ = next_seq;
   last_boundary_ = last_boundary;
   shape_ = shape;
   headroom_ = std::move(headroom);
@@ -416,13 +453,8 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
 }
 
 size_t SopSession::MemoryBytes() const {
-  size_t bytes = detector_ != nullptr ? detector_->MemoryBytes() : 0;
-  bytes += DequeHeapBytes(history_);
-  for (const HistoryBatch& b : history_) {
-    bytes += VectorHeapBytes(b.points);
-    for (const Point& p : b.points) bytes += VectorHeapBytes(p.values);
-  }
-  return bytes;
+  return (detector_ != nullptr ? detector_->MemoryBytes() : 0) +
+         history_.MemoryBytes() + DequeHeapBytes(history_marks_);
 }
 
 }  // namespace sop

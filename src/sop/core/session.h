@@ -50,6 +50,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sop/common/column_store.h"
 #include "sop/core/sop_detector.h"
 #include "sop/query/workload.h"
 #include "sop/stream/record_policy.h"
@@ -130,7 +131,7 @@ class SopSession {
   /// to the total number of points ever accepted. Survives SaveState/
   /// LoadState; the serving layer reports it in acks so a scale-out router
   /// can keep its local->global sequence maps anchored (cluster/router.h).
-  Seq next_seq() const { return next_seq_; }
+  Seq next_seq() const { return history_.next_seq(); }
 
   /// The shape of the stream advanced so far: the dimensionality its first
   /// point pinned and the newest point's time. Survives SaveState/
@@ -167,7 +168,9 @@ class SopSession {
   /// quantum). Unlike OutlierDetector::Advance, the session assigns the
   /// points' arrival sequence numbers itself (any incoming seq values are
   /// overwritten); results refer to those assigned seqs, 0-based from the
-  /// session's first point. Returns the emissions of every registered
+  /// session's first point. The batch must pass shape().Check (hosts
+  /// check ingest before it gets here); the history store aborts on a
+  /// dimensionality change. Returns the emissions of every registered
   /// query due at `boundary`.
   std::vector<SessionResult> Advance(std::vector<Point> batch,
                                      int64_t boundary);
@@ -237,12 +240,15 @@ class SopSession {
   std::map<QueryId, OutlierQuery> registered_;  // insertion-ordered by id
   bool dirty_ = false;  // workload changed since detector_ was built
 
-  // Retained history: batches in arrival order with their boundaries.
-  struct HistoryBatch {
-    std::vector<Point> points;
+  // Retained history: the points in arrival order, held once in columns,
+  // and per batch its boundary and point count. Trimming only moves the
+  // front, so history_.next_seq() is the session's stream position.
+  struct BatchMark {
     int64_t boundary;
+    size_t size;
   };
-  std::deque<HistoryBatch> history_;
+  ColumnStore history_;
+  std::deque<BatchMark> history_marks_;
 
   DetectorBuilder builder_;  // null = build SopDetector
   SopDetector::Options sop_options_;  // for the default SopDetector path
@@ -253,7 +259,6 @@ class SopSession {
   std::vector<QueryId> detector_query_ids_;  // workload index -> id
   SessionChangeStats change_stats_;
   int64_t last_boundary_ = INT64_MIN;
-  Seq next_seq_ = 0;
   StreamShape shape_;
 };
 

@@ -42,30 +42,25 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   SOP_CHECK_MSG(boundary > last_boundary_, "boundaries must increase");
   last_boundary_ = boundary;
 
-  // The first batch a detector ever sees may start mid-stream (history
-  // replay after trimming, see SopSession); re-base the buffer on it.
-  if (!received_any_ && !batch.empty()) {
-    buffer_.ResetTo(batch.front().seq);
-    received_any_ = true;
-  }
-  const Seq first_new_seq = buffer_.next_seq();
+  // The first batch may start mid-stream (history replay after trimming,
+  // see SopSession); the buffer re-bases on it.
   for (Point& p : batch) {
+    if (grid_ != nullptr) grid_->Insert(p.seq, p);
     buffer_.Append(std::move(p));
     states_.emplace_back();
   }
+  const Seq first_new_seq = buffer_.next_seq() - static_cast<Seq>(batch.size());
 
   // Slide the swift window.
   const int64_t swift_start = WindowStart(boundary, plan_.win_max());
   if (grid_ != nullptr) {
-    // Index the arrivals, then un-index everything expiring — including
+    // The arrivals are indexed; un-index everything expiring — including
     // arrivals that never make it into the window — while the coordinates
     // are still alive in the buffer.
-    for (Seq s = first_new_seq; s < buffer_.next_seq(); ++s) {
-      grid_->Insert(s, buffer_.At(s));
-    }
     const Seq expire_end = buffer_.LowerBoundKey(swift_start);
     for (Seq s = buffer_.first_seq(); s < expire_end; ++s) {
-      grid_->Remove(s, buffer_.At(s));
+      buffer_.Load(s, &scratch_point_);
+      grid_->Remove(s, scratch_point_);
     }
   }
   const size_t dropped = buffer_.ExpireBefore(swift_start);
@@ -78,12 +73,13 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
     PointState& st = StateOf(s);
     if (options_.safe_inlier_pruning && st.safe) continue;
+    buffer_.Load(s, &scratch_point_);
     const std::vector<Seq>* candidates = nullptr;
     if (grid_ != nullptr) {
       // Index-assisted candidate enumeration: everything within r_max is
       // in the superset, so K-SKY's scan — restricted to newest-first
       // order — builds the identical skyband (see ksky.h).
-      grid_->CollectCandidates(buffer_.At(s), plan_.r_max(),
+      grid_->CollectCandidates(scratch_point_, plan_.r_max(),
                                &grid_candidates_);
       std::sort(grid_candidates_.begin(), grid_candidates_.end(),
                 std::greater<Seq>());
@@ -97,7 +93,7 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
       candidates = &grid_candidates_;
     }
     const bool safe =
-        ksky_.EvaluatePoint(buffer_.At(s), buffer_, first_new_seq,
+        ksky_.EvaluatePoint(scratch_point_, buffer_, first_new_seq,
                             swift_start, /*from_scratch=*/!st.evaluated,
                             &st.skyband, candidates);
     st.evaluated = true;

@@ -143,13 +143,13 @@ class SopDetector : public OutlierDetector {
   std::unique_ptr<GridIndex> grid_;  // only with options_.use_grid_index
   Stats stats_;
   int64_t last_boundary_ = INT64_MIN;
-  bool received_any_ = false;
   size_t last_results_bytes_ = 0;
   // Per-batch scratch.
   std::vector<Seq> nonsafe_seqs_;
   std::vector<Seq> grid_candidates_;  // seq-descending K-SKY candidates
   std::vector<EmittingQuery> emitting_;
   FenwickTree emit_counts_;
+  Point scratch_point_;  // buffer_.Load target, reused across points
 };
 
 }  // namespace sop

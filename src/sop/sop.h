@@ -24,7 +24,7 @@
 //                          observability registry, instrumentation macros
 //                          and exporters (obs/)
 //   * Distance kernels     DistanceFn::MakeKernel + the columnar window
-//                          mirror and backend selection
+//                          store and backend selection
 //                          (--kernel=scalar|avx2; common/dist_kernel.h,
 //                          common/column_store.h)
 //   * Data in/out          CSV points, workload spec files (io/), the

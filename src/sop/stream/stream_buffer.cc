@@ -1,54 +1,34 @@
 #include "sop/stream/stream_buffer.h"
 
+#include <algorithm>
+#include <ranges>
+
 #include "sop/common/check.h"
-#include "sop/common/memory.h"
 
 namespace sop {
 
 void StreamBuffer::Append(Point p) {
+  if (!based_) ResetTo(p.seq);
   SOP_CHECK_MSG(p.seq == next_seq(), "points must arrive in seq order");
-  if (!points_.empty()) {
-    SOP_CHECK_MSG(PointKey(p, type_) >= PointKey(points_.back(), type_),
+  if (!empty()) {
+    SOP_CHECK_MSG(PointKey(p, type_) >= KeyOf(next_seq() - 1),
                   "point keys must be non-decreasing");
   }
-  columns_.Append(p);
-  points_.push_back(std::move(p));
+  ColumnStore::Append(p);
 }
 
 size_t StreamBuffer::ExpireBefore(int64_t min_key) {
-  size_t dropped = 0;
-  while (!points_.empty() && PointKey(points_.front(), type_) < min_key) {
-    points_.pop_front();
-    ++first_seq_;
-    ++dropped;
-  }
-  columns_.PopFront(dropped);
+  const size_t dropped =
+      static_cast<size_t>(LowerBoundKey(min_key) - first_seq());
+  PopFront(dropped);
   return dropped;
 }
 
-const Point& StreamBuffer::At(Seq seq) const {
-  SOP_DCHECK(Contains(seq));
-  return points_[static_cast<size_t>(seq - first_seq_)];
-}
-
 Seq StreamBuffer::LowerBoundKey(int64_t min_key) const {
-  Seq lo = first_seq_;
-  Seq hi = next_seq();
-  while (lo < hi) {
-    const Seq mid = lo + (hi - lo) / 2;
-    if (KeyOf(mid) < min_key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-size_t StreamBuffer::MemoryBytes() const {
-  size_t bytes = DequeHeapBytes(points_) + columns_.MemoryBytes();
-  for (const Point& p : points_) bytes += VectorHeapBytes(p.values);
-  return bytes;
+  const auto seqs = std::views::iota(first_seq(), next_seq());
+  const auto it = std::ranges::partition_point(
+      seqs, [&](Seq s) { return KeyOf(s) < min_key; });
+  return it == seqs.end() ? next_seq() : *it;
 }
 
 }  // namespace sop

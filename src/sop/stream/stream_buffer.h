@@ -9,7 +9,7 @@
 #define SOP_STREAM_STREAM_BUFFER_H_
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 
 #include "sop/common/check.h"
 #include "sop/common/column_store.h"
@@ -18,68 +18,61 @@
 
 namespace sop {
 
-/// Sliding buffer of alive points, indexed by arrival sequence number.
+/// Sliding buffer of alive points, indexed by arrival sequence number: a
+/// ColumnStore plus the window type that turns seqs into window keys.
 ///
-/// Invariants: appended points have seq == next_seq() and non-decreasing
-/// keys; expiry only moves forward. Not thread-safe.
-class StreamBuffer {
+/// Invariants: the first appended point fixes where the seqs start (a
+/// detector's first batch may start mid-stream: a history replay after
+/// trimming, a resumed run); every later one has seq == next_seq(). Keys
+/// are non-decreasing; expiry only moves forward. Not thread-safe.
+class StreamBuffer : private ColumnStore {
  public:
   explicit StreamBuffer(WindowType type) : type_(type) {}
 
-  WindowType type() const { return type_; }
+  // The store's read side. Load copies an alive point into a caller-owned
+  // Point, reusing its `values` capacity: a reused scratch Point never
+  // allocates.
+  using ColumnStore::Contains;
+  using ColumnStore::empty;
+  using ColumnStore::first_seq;
+  using ColumnStore::Load;
+  using ColumnStore::MemoryBytes;
+  using ColumnStore::next_seq;
+  using ColumnStore::size;
 
-  /// Sequence number the next appended point must carry.
-  Seq next_seq() const { return first_seq_ + static_cast<Seq>(points_.size()); }
-
-  /// First alive sequence number (== next_seq() when empty).
-  Seq first_seq() const { return first_seq_; }
-
-  size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
-
-  /// Appends a point. Its seq must equal next_seq() and its key must be
-  /// >= the previous point's key.
+  /// Appends a point. Unless it is the first point of a buffer that was
+  /// never ResetTo, its seq must equal next_seq(); its key must be >= the
+  /// previous point's key.
   void Append(Point p);
 
   /// Re-bases an empty buffer at `first_seq` (checkpoint restore).
   void ResetTo(Seq first_seq) {
-    SOP_CHECK_MSG(points_.empty(), "ResetTo requires an empty buffer");
-    first_seq_ = first_seq;
-    columns_.ResetTo(first_seq);
+    ColumnStore::ResetTo(first_seq);
+    based_ = true;
   }
 
   /// Drops all points whose key is < `min_key`. Returns how many were
   /// dropped.
   size_t ExpireBefore(int64_t min_key);
 
-  /// The alive point with sequence number `seq`. Checked.
-  const Point& At(Seq seq) const;
-
-  /// True iff `seq` identifies an alive point.
-  bool Contains(Seq seq) const {
-    return seq >= first_seq_ && seq < next_seq();
-  }
-
   /// Key of alive point `seq` under this buffer's window type.
-  int64_t KeyOf(Seq seq) const { return PointKey(At(seq), type_); }
+  int64_t KeyOf(Seq seq) const {
+    SOP_DCHECK(Contains(seq));
+    return type_ == WindowType::kCount ? static_cast<int64_t>(seq)
+                                       : TimeOf(seq);
+  }
 
   /// Smallest alive sequence number whose key is >= `min_key` (binary
   /// search; keys are non-decreasing). Returns next_seq() if none.
   Seq LowerBoundKey(int64_t min_key) const;
 
-  /// Columnar mirror of the alive points, kept in sync with every
-  /// mutation — the batch distance kernel (common/dist_kernel.h) reads
-  /// attributes through it instead of the row Points.
-  const ColumnStore& columns() const { return columns_; }
-
-  /// Approximate heap bytes used by the stored points (rows + columns).
-  size_t MemoryBytes() const;
+  /// The alive points' columns — the batch distance kernel
+  /// (common/dist_kernel.h) reads attributes through them.
+  const ColumnStore& columns() const { return *this; }
 
  private:
   WindowType type_;
-  Seq first_seq_ = 0;
-  std::deque<Point> points_;
-  ColumnStore columns_;
+  bool based_ = false;  // seqs start fixed, by ResetTo or the first Append
 };
 
 }  // namespace sop

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/common/frame.h"
 #include "sop/common/random.h"
+#include "sop/common/serialize.h"
 #include "sop/core/sop_detector.h"
 #include "test_util.h"
 
@@ -13,8 +15,8 @@ namespace {
 
 using testing::ResultToString;
 
-Workload TestWorkload() {
-  Workload w(WindowType::kCount);
+Workload TestWorkload(WindowType type = WindowType::kCount) {
+  Workload w(type);
   w.AddQuery(OutlierQuery(1.0, 2, 16, 4));
   w.AddQuery(OutlierQuery(2.5, 4, 24, 8));
   w.AddQuery(OutlierQuery(1.5, 3, 8, 4));
@@ -103,6 +105,107 @@ TEST(CheckpointTest, RoundTripPreservesEvidence) {
   }
   // A restored detector's own checkpoint is byte-identical.
   EXPECT_EQ(original.SaveState(), restored.SaveState());
+}
+
+TEST(CheckpointTest, RoundTripIsByteIdenticalAcrossWindowsAndIndex) {
+  // Save mid-stream, restore, and the restored detector's checkpoint is
+  // the same bytes — both right away and after both detectors finish the
+  // stream with identical emissions (the grid is rebuilt from the
+  // restored window's columns).
+  for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+    for (const bool grid : {false, true}) {
+      SCOPED_TRACE(std::string(type == WindowType::kCount ? "count" : "time") +
+                   (grid ? " grid" : " scan"));
+      const Workload w = TestWorkload(type);
+      SopDetector::Options options;
+      options.use_grid_index = grid;
+      const int64_t span = w.SlideGcd();
+      const std::vector<Point> points = TestStream(96, 17);
+      const int64_t batches = static_cast<int64_t>(points.size()) / span;
+      SopDetector original(w, options);
+      Drive(&original, points, span, 0, batches / 2, nullptr);
+      const std::string blob = original.SaveState();
+
+      SopDetector restored(w, options);
+      ASSERT_TRUE(restored.LoadState(blob));
+      EXPECT_EQ(restored.SaveState(), blob);
+      std::vector<QueryResult> want;
+      std::vector<QueryResult> got;
+      Drive(&original, points, span, batches / 2, batches, &want);
+      Drive(&restored, points, span, batches / 2, batches, &got);
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].outliers, got[i].outliers) << ResultToString(want[i]);
+      }
+      EXPECT_EQ(restored.SaveState(), original.SaveState());
+    }
+  }
+}
+
+// The checkpoint encoding of one 1-d window point: time, dims, value.
+std::string PointBytes(const Point& p) {
+  BinaryWriter w;
+  w.WriteI64(p.time);
+  w.WriteU32(1);
+  w.WriteDouble(p.values[0]);
+  return w.TakeBytes();
+}
+
+// A copy of `blob` whose encoding of window point `p` is replaced by
+// `replacement`, re-framed so only the payload's meaning changes.
+std::string PatchPoint(const std::string& blob, const Point& p,
+                       const std::string& replacement) {
+  std::string_view view;
+  EXPECT_TRUE(UnwrapFrame(blob, &view));
+  std::string payload(view);
+  const std::string old = PointBytes(p);
+  const size_t at = payload.find(old);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(payload.find(old, at + 1), std::string::npos);
+  payload.replace(at, old.size(), replacement);
+  return WrapFrame(payload);
+}
+
+TEST(CheckpointTest, RefusesMisshapenWindowPoints) {
+  const std::vector<Point> points = TestStream(48, 5);
+  for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+    const Workload w = TestWorkload(type);
+    SopDetector original(w);
+    Drive(&original, points, w.SlideGcd(), 0, 12, nullptr);
+    const std::string blob = original.SaveState();
+    Seq first = 0;
+    while (!original.IsAliveForTesting(first)) ++first;
+    const Point& second = points[static_cast<size_t>(first + 1)];
+
+    // A second attribute on the second window point.
+    BinaryWriter wider;
+    wider.WriteI64(second.time);
+    wider.WriteU32(2);
+    wider.WriteDouble(second.values[0]);
+    wider.WriteDouble(0.0);
+    std::string error;
+    {
+      SopDetector d(w);
+      EXPECT_FALSE(d.LoadState(PatchPoint(blob, second, wider.bytes()),
+                               &error));
+      EXPECT_NE(error.find("2 attributes, the stream has 1"), std::string::npos)
+          << error;
+    }
+
+    // The second window point's time before the first's: corrupt under a
+    // time window, whose keys are times; meaningless under a count window.
+    Point earlier = second;
+    earlier.time = points[static_cast<size_t>(first)].time - 1;
+    SopDetector d(w);
+    const bool loaded =
+        d.LoadState(PatchPoint(blob, second, PointBytes(earlier)), &error);
+    if (type == WindowType::kTime) {
+      EXPECT_FALSE(loaded);
+      EXPECT_NE(error.find("precedes"), std::string::npos) << error;
+    } else {
+      EXPECT_TRUE(loaded) << error;
+    }
+  }
 }
 
 TEST(CheckpointTest, RejectsCorruptedBlobs) {

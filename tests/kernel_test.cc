@@ -1,8 +1,8 @@
 // Columnar store + batch distance kernel coverage.
 //
 // Three layers of proof that the kernel refactor cannot change answers:
-//   1. ColumnStore units: the ring mirror (slots, recycling, growth,
-//      wraparound, restore re-basing) holds exactly the alive points.
+//   1. ColumnStore units: the ring (slots, recycling, growth, wraparound,
+//      restore re-basing) holds exactly the alive points.
 //   2. A seed-logged equivalence fuzz: every kernel entry point, backend
 //      (scalar and — when the CPU has it — AVX2), metric, and subspace
 //      shape must return distances bit-identical to the legacy per-pair
@@ -34,7 +34,6 @@
 #include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/index/grid.h"
-#include "sop/stream/stream_buffer.h"
 #include "test_util.h"
 
 namespace sop {
@@ -69,8 +68,7 @@ TEST(ColumnStoreTest, AppendExpireAndSlots) {
   EXPECT_EQ(store.next_seq(), 50);
   for (Seq s = 0; s < 50; ++s) {
     const size_t slot = store.SlotOf(s);
-    EXPECT_EQ(store.seq_column()[slot], s);
-    EXPECT_EQ(store.time_column()[slot], static_cast<Timestamp>(s));
+    EXPECT_EQ(store.TimeOf(s), static_cast<Timestamp>(s));
     for (size_t d = 0; d < 3; ++d) {
       EXPECT_EQ(store.Column(d)[slot], rows[static_cast<size_t>(s)].values[d]);
     }
@@ -104,7 +102,7 @@ TEST(ColumnStoreTest, GrowthRescattersAndRingWraps) {
   EXPECT_EQ(store.next_seq(), 1000);
   for (Seq s = first; s < 1000; ++s) {
     const size_t slot = store.SlotOf(s);
-    EXPECT_EQ(store.seq_column()[slot], s);
+    EXPECT_EQ(store.TimeOf(s), static_cast<Timestamp>(s));
     for (size_t d = 0; d < 2; ++d) {
       EXPECT_EQ(store.Column(d)[slot], rows[static_cast<size_t>(s)].values[d]);
     }
@@ -119,23 +117,39 @@ TEST(ColumnStoreTest, ResetToRebasesEmptyStore) {
   store.ResetTo(500);
   EXPECT_EQ(store.first_seq(), 500);
   store.Append(MakePoint(500, 2, &rng));
-  EXPECT_EQ(store.seq_column()[store.SlotOf(500)], 500);
+  EXPECT_EQ(store.TimeOf(500), 500);
 }
 
-TEST(ColumnStoreTest, StreamBufferKeepsColumnsInSync) {
-  StreamBuffer buffer(WindowType::kCount);
+TEST(ColumnStoreTest, LoadReturnsAppendedPoints) {
+  // A store re-based mid-stream, expired by arbitrary counts and grown
+  // while its live range straddles the ring seam (the session history's
+  // life), must hand back exactly the appended points.
+  ColumnStore store;
   Rng rng(5);
-  for (Seq s = 0; s < 100; ++s) buffer.Append(MakePoint(s, 2, &rng));
-  buffer.ExpireBefore(40);
-  const ColumnStore& cols = buffer.columns();
-  EXPECT_EQ(cols.first_seq(), buffer.first_seq());
-  EXPECT_EQ(cols.next_seq(), buffer.next_seq());
-  for (Seq s = buffer.first_seq(); s < buffer.next_seq(); ++s) {
-    const Point& p = buffer.At(s);
-    const size_t slot = cols.SlotOf(s);
-    EXPECT_EQ(cols.time_column()[slot], p.time);
-    for (size_t d = 0; d < 2; ++d) EXPECT_EQ(cols.Column(d)[slot], p.values[d]);
+  store.ResetTo(37);
+  std::vector<Point> appended;
+  for (Seq s = 37; s < 237; ++s) {
+    appended.push_back(MakePoint(s, 3, &rng));
+    store.Append(appended.back());
   }
+  store.PopFront(50);
+  for (Seq s = 237; s < 337; ++s) {  // 250 alive: grows the ring to 256
+    appended.push_back(MakePoint(s, 3, &rng));
+    store.Append(appended.back());
+  }
+  EXPECT_EQ(store.capacity(), 256u);
+  Point got;
+  store.Load(store.first_seq(), &got);
+  const double* values = got.values.data();
+  for (const Point& want : appended) {
+    if (!store.Contains(want.seq)) continue;
+    store.Load(want.seq, &got);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(store.TimeOf(want.seq), want.time);
+  }
+  EXPECT_EQ(got.values.data(), values) << "Load reallocated its target";
 }
 
 TEST(KernelBackendTest, ParseAndSelect) {
@@ -333,11 +347,11 @@ TEST(GridScanState, CachedSpanTracksRadiusChanges) {
   // the candidate supersets stay exact.
   const DistanceFn dist(Metric::kEuclidean);
   GridIndex grid(dist, /*cell_size=*/0.5);
-  StreamBuffer buffer(WindowType::kCount);
+  std::vector<Point> points;
   Rng rng(99);
   for (Seq s = 0; s < 200; ++s) {
-    buffer.Append(MakePoint(s, 2, &rng));
-    grid.Insert(s, buffer.At(s));
+    points.push_back(MakePoint(s, 2, &rng));
+    grid.Insert(s, points.back());
   }
   std::vector<Seq> got;
   for (int i = 0; i < 20; ++i) {
@@ -346,7 +360,7 @@ TEST(GridScanState, CachedSpanTracksRadiusChanges) {
     grid.CollectCandidates(probe, r, &got);
     std::sort(got.begin(), got.end());
     for (Seq s = 0; s < 200; ++s) {
-      if (dist(probe, buffer.At(s)) <= r) {
+      if (dist(probe, points[static_cast<size_t>(s)]) <= r) {
         EXPECT_TRUE(std::binary_search(got.begin(), got.end(), s))
             << "r=" << r << " missed neighbor seq " << s;
       }

@@ -10,6 +10,13 @@
 namespace sop {
 namespace {
 
+// A copy of alive point `seq`, the row EvaluatePoint is asked about.
+Point Row(const StreamBuffer& buffer, Seq seq) {
+  Point p;
+  buffer.Load(seq, &p);
+  return p;
+}
+
 // Test harness: 1-D points, the evaluated point p at value 0 with seq 0,
 // candidates at value == their distance to p, count-based windows.
 class KSkyHarness {
@@ -30,7 +37,7 @@ class KSkyHarness {
 
   // Runs a from-scratch scan for p; returns whether p is Safe-For-All.
   bool Scan(LSky* skyband) {
-    return ksky_.EvaluatePoint(buffer_.At(0), buffer_, buffer_.next_seq(),
+    return ksky_.EvaluatePoint(Row(buffer_, 0), buffer_, buffer_.next_seq(),
                                /*swift_window_start=*/0,
                                /*from_scratch=*/true, skyband);
   }
@@ -97,7 +104,7 @@ TEST(KSkyTest, PaperExample1NecessityAfterSlide) {
   // Newcomers p9..p12 at distance > 3.
   for (Seq s = 9; s <= 12; ++s) h.buffer().Append(Point(s, s, {5.0}));
   // Incremental rescan with the window now starting at key 5 (p4 gone).
-  h.ksky().EvaluatePoint(h.buffer().At(0), h.buffer(), 9, 5,
+  h.ksky().EvaluatePoint(Row(h.buffer(), 0), h.buffer(), 9, 5,
                          /*from_scratch=*/false, &skyband);
   EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{8, 7, 5}));
   EXPECT_LT(skyband.CountWithin(2, 5, 3), 3);  // q2: now outlier
@@ -199,7 +206,7 @@ TEST(KSkyTest, TimeBasedKeysInSkyband) {
   buffer.Append(Point(3, 20, {9.0}));  // too far: not a neighbor
   buffer.Append(Point(4, 31, {0.5}));
   LSky skyband;
-  ksky.EvaluatePoint(buffer.At(0), buffer, buffer.next_seq(), 0, true,
+  ksky.EvaluatePoint(Row(buffer, 0), buffer, buffer.next_seq(), 0, true,
                      &skyband);
   // k_max = 2: the two newest neighbors saturate layer 1 and terminate.
   ASSERT_EQ(skyband.size(), 2u);
@@ -240,10 +247,10 @@ TEST(KSkyTest, PrecedingNeighborsDoNotMakeSafe) {
   LSky skyband;
   // The newest point has 4 preceding neighbors at distance 0, no
   // succeeding ones.
-  EXPECT_FALSE(ksky.EvaluatePoint(buffer.At(4), buffer, buffer.next_seq(), 0,
+  EXPECT_FALSE(ksky.EvaluatePoint(Row(buffer, 4), buffer, buffer.next_seq(), 0,
                                   true, &skyband));
   // An older point with >= 2 succeeding neighbors is safe.
-  EXPECT_TRUE(ksky.EvaluatePoint(buffer.At(1), buffer, buffer.next_seq(), 0,
+  EXPECT_TRUE(ksky.EvaluatePoint(Row(buffer, 1), buffer, buffer.next_seq(), 0,
                                  true, &skyband));
 }
 
@@ -261,7 +268,7 @@ TEST(KSkyTest, LeastExaminationScanCosts) {
   // re-admission of old entries skipped.
   h.buffer().Append(Point(9, 9, {50.0}));
   h.buffer().Append(Point(10, 10, {50.0}));
-  h.ksky().EvaluatePoint(h.buffer().At(0), h.buffer(), 9, 0,
+  h.ksky().EvaluatePoint(Row(h.buffer(), 0), h.buffer(), 9, 0,
                          /*from_scratch=*/false, &skyband);
   EXPECT_EQ(h.stats().distances_computed, 2);  // the new arrivals only
   EXPECT_EQ(h.stats().candidates_examined, 2);
@@ -272,7 +279,7 @@ TEST(KSkyTest, LeastExaminationScanCosts) {
   (void)skyband_size;
   h.buffer().Append(Point(11, 11, {1.0}));
   h.buffer().Append(Point(12, 12, {50.0}));
-  h.ksky().EvaluatePoint(h.buffer().At(0), h.buffer(), 11, 0,
+  h.ksky().EvaluatePoint(Row(h.buffer(), 0), h.buffer(), 11, 0,
                          /*from_scratch=*/false, &skyband);
   EXPECT_EQ(h.stats().distances_computed, 2);
   EXPECT_EQ(h.stats().candidates_examined, 3);

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/common/frame.h"
 #include "sop/common/random.h"
+#include "sop/common/serialize.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
 #include "sop/obs/metrics.h"
@@ -375,6 +377,8 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
   SopSession restored(WindowType::kCount, Metric::kEuclidean, 64);
   std::string error;
   ASSERT_TRUE(restored.LoadState(blob, &error)) << error;
+  // The state format round-trips byte for byte.
+  EXPECT_EQ(restored.SaveState(), blob);
   // First batch after restore: the lazy rebuild (+ history replay).
   Drive(&restored, points, 4, 12, 13);
   EXPECT_EQ(restored.change_stats().rebuilds, 1u);
@@ -388,6 +392,113 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
   EXPECT_EQ(restored.change_stats().overlay_changes, 1u);
   EXPECT_EQ(restored.change_stats().rebuilds, 1u);
   EXPECT_EQ(restored.change_stats().replayed_points, replayed);
+}
+
+// A session-state v3 blob of a query-less session with elastic headroom
+// and no basis, whose history holds `batches` at boundaries 4, 8, ...
+// and whose stream position and shape are as given. It lets a test
+// restore histories no live session could have produced.
+std::string HistoryBlob(WindowType type,
+                        const std::vector<std::vector<Point>>& batches,
+                        Seq next_seq, uint64_t dims, int64_t last_time) {
+  BinaryWriter w;
+  w.WriteU32(3);  // session-state format version
+  w.WriteU32(static_cast<uint32_t>(type));
+  w.WriteU32(static_cast<uint32_t>(Metric::kEuclidean));
+  w.WriteI64(64);  // history window
+  w.WriteI64(1);   // next query id
+  w.WriteI64(next_seq);
+  w.WriteI64(4 * static_cast<int64_t>(batches.size()));  // last boundary
+  w.WriteU64(0);      // queries
+  w.WriteBool(true);  // headroom: elastic, no radii, slack or floor
+  w.WriteU64(0);
+  w.WriteI64(0);
+  w.WriteI64(0);
+  w.WriteU64(0);  // basis snapshot: no layers, envelope or window
+  w.WriteI64(0);
+  w.WriteI64(0);
+  w.WriteU64(dims);
+  w.WriteI64(last_time);
+  w.WriteU64(batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    w.WriteI64(4 * static_cast<int64_t>(b + 1));
+    w.WriteU64(batches[b].size());
+    for (const Point& p : batches[b]) {
+      w.WriteI64(p.seq);
+      w.WriteI64(p.time);
+      w.WriteU64(p.values.size());
+      for (const double v : p.values) w.WriteDouble(v);
+    }
+  }
+  return WrapFrame(w.bytes());
+}
+
+TEST(SopSessionTest, LoadStateRefusesMisshapenHistory) {
+  const std::vector<Point> flat = {Point(0, 0, {1.0, 2.0}),
+                                   Point(1, 1, {1.5, 2.5})};
+  const std::vector<Point> next = {Point(2, 2, {1.0, 2.0}),
+                                   Point(3, 3, {1.5, 2.5})};
+
+  // Control: the helper writes exactly what a live session saves, and a
+  // well-formed history restores, rebuilds and advances.
+  SopSession live(WindowType::kTime, Metric::kEuclidean, 64);
+  live.Advance(flat, 4);
+  live.Advance(next, 8);
+  const std::string good = HistoryBlob(WindowType::kTime, {flat, next}, 4,
+                                       2, 3);
+  ASSERT_EQ(good, live.SaveState());
+  {
+    SopSession s(WindowType::kTime, Metric::kEuclidean, 64);
+    std::string error;
+    ASSERT_TRUE(s.LoadState(good, &error)) << error;
+    s.AddQuery(OutlierQuery(1.0, 1, 16, 4));
+    s.Advance({Point(0, 4, {1.0, 2.0})}, 12);
+    EXPECT_EQ(s.change_stats().replayed_points, 4u);
+  }
+
+  std::vector<Point> wider = next;  // 3 attributes in a 2-d stream
+  for (Point& p : wider) p.values.push_back(0.0);
+  std::vector<Point> gap = next;  // seqs skip 2
+  for (Point& p : gap) ++p.seq;
+  std::vector<Point> back_in_time = next;  // times precede batch 0's
+  for (Point& p : back_in_time) p.time -= 3;
+  struct Case {
+    const char* what;
+    WindowType type;
+    std::string blob;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {"dims change mid-stream", WindowType::kCount,
+       HistoryBlob(WindowType::kCount, {flat, wider}, 4, 2, 3),
+       "3 attributes, the stream has 2"},
+      {"saved shape disagrees", WindowType::kCount,
+       HistoryBlob(WindowType::kCount, {flat, next}, 4, 3, 3), "shape"},
+      {"shape unset under points", WindowType::kCount,
+       HistoryBlob(WindowType::kCount, {flat, next}, 4, 0, 3), "shape"},
+      {"seq gap", WindowType::kCount,
+       HistoryBlob(WindowType::kCount, {flat, gap}, 5, 2, 3), "seqs"},
+      {"history ends early", WindowType::kCount,
+       HistoryBlob(WindowType::kCount, {flat, next}, 5, 2, 3),
+       "stream position"},
+      {"time regresses", WindowType::kTime,
+       HistoryBlob(WindowType::kTime, {flat, back_in_time}, 4, 2, 3),
+       "precedes"},
+      {"shape older than history", WindowType::kTime,
+       HistoryBlob(WindowType::kTime, {flat, next}, 4, 2, 2), "shape"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    SopSession s(c.type, Metric::kEuclidean, 64);
+    std::string error;
+    EXPECT_FALSE(s.LoadState(c.blob, &error));
+    EXPECT_NE(error.find(c.diagnostic), std::string::npos) << error;
+    // Refused restores leave the session untouched and usable.
+    EXPECT_EQ(s.next_seq(), 0);
+    s.AddQuery(OutlierQuery(1.0, 1, 16, 4));
+    s.Advance(flat, 4);
+    EXPECT_EQ(s.next_seq(), 2);
+  }
 }
 
 TEST(SopSessionTest, RejectsInvalidQueries) {

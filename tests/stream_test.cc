@@ -1,6 +1,9 @@
 // Unit tests for sop/stream: window arithmetic, the sliding buffer, and
 // sources.
 
+#include <cstdint>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "sop/stream/source.h"
 #include "sop/stream/stream_buffer.h"
@@ -34,15 +37,61 @@ TEST(WindowTest, FirstBoundaryAtOrAfter) {
 }
 
 TEST(StreamBufferTest, AppendAndAccess) {
-  StreamBuffer buffer(WindowType::kCount);
-  EXPECT_TRUE(buffer.empty());
-  EXPECT_EQ(buffer.next_seq(), 0);
-  buffer.Append(Point(0, 100, {1.0}));
-  buffer.Append(Point(1, 101, {2.0}));
-  EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.At(1).values[0], 2.0);
-  EXPECT_TRUE(buffer.Contains(0));
-  EXPECT_FALSE(buffer.Contains(2));
+  // Load hands back exactly the appended point: past the ring's initial
+  // 64 slots, after expiry, across a growth that re-scatters a live range
+  // straddling the ring seam, and after ResetTo — under both window types.
+  for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+    SCOPED_TRACE(type == WindowType::kCount ? "count" : "time");
+    StreamBuffer buffer(type);
+    EXPECT_TRUE(buffer.empty());
+    EXPECT_EQ(buffer.next_seq(), 0);
+    std::vector<Point> appended;
+    const auto append = [&](Seq first, Seq end) {
+      for (Seq s = first; s < end; ++s) {
+        const double x = static_cast<double>(s);
+        appended.emplace_back(s, 100 + s / 3,
+                              std::vector<double>{x, -0.5 * x, 1.0 / (x + 1)});
+        buffer.Append(appended.back());
+      }
+    };
+    Point got;  // one reused target: Load must overwrite every field
+    const auto expect_loads = [&] {
+      for (const Point& want : appended) {
+        if (!buffer.Contains(want.seq)) continue;
+        buffer.Load(want.seq, &got);
+        EXPECT_EQ(got.seq, want.seq);
+        EXPECT_EQ(got.time, want.time);
+        EXPECT_EQ(got.values, want.values);
+        EXPECT_EQ(buffer.KeyOf(want.seq), PointKey(want, type));
+      }
+    };
+
+    append(0, 2);
+    EXPECT_EQ(buffer.size(), 2u);
+    EXPECT_TRUE(buffer.Contains(0));
+    EXPECT_FALSE(buffer.Contains(2));
+    expect_loads();
+    const double* values = got.values.data();
+
+    append(2, 150);  // the ring grows 64 -> 128 -> 256
+    expect_loads();
+    // Expire seqs [0, 90): key 90 by count, time 130 = 100 + 90 / 3.
+    EXPECT_EQ(buffer.ExpireBefore(type == WindowType::kCount ? 90 : 130),
+              90u);
+    EXPECT_EQ(buffer.first_seq(), 90);
+    append(150, 350);  // 260 alive: grows to 512 from a wrapped front
+    EXPECT_EQ(buffer.size(), 260u);
+    expect_loads();
+    EXPECT_EQ(got.values.data(), values) << "Load reallocated its target";
+
+    EXPECT_EQ(buffer.ExpireBefore(INT64_MAX), 260u);
+    buffer.ResetTo(1000);
+    EXPECT_EQ(buffer.next_seq(), 1000);
+    appended.clear();
+    append(1000, 1100);
+    EXPECT_EQ(buffer.first_seq(), 1000);
+    expect_loads();
+  }
 }
 
 TEST(StreamBufferTest, ExpireBeforeCountKeys) {
